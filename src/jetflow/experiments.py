@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from itertools import product
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,7 +27,7 @@ from .maps import MapExpr, eval_map_batch, parse_map
 from .multiindex import graded_numbering
 from .pushforward import estimate_pushforward, gamma_check, oracle_pushforward, theorem_rate
 from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
-from .sampling import draw_samples
+from .sampling import _SCHEMES, _tensor_grid, draw_samples
 from .vectorfield import (
     bound_B,
     check_equilibrium,
@@ -46,8 +45,6 @@ KINDS = (
 )
 
 OUTPUT_ENV = "JETFLOW_OUTPUT_DIR"
-
-_SCHEMES = ("iid", "grid", "halton")
 
 
 # ---------------------------------------------------------------- validation
@@ -285,13 +282,8 @@ def _domain_spec(cfg: dict) -> DomainSpec:
 
 
 def _eval_grid(cfg: dict, p: np.ndarray) -> np.ndarray:
-    radii = np.array(cfg["eval"]["radii"], dtype=np.float64)
-    ppa = cfg["eval"]["points_per_axis"]
-    axes = [
-        np.array([c]) if ppa == 1 else np.linspace(c - r, c + r, ppa)
-        for c, r in zip(p, radii)
-    ]
-    return np.array(list(product(*axes)))
+    ev = cfg["eval"]
+    return _tensor_grid(p, np.array(ev["radii"], dtype=np.float64), ev["points_per_axis"])
 
 
 def _n_values(cfg: dict) -> list[int]:
@@ -314,7 +306,7 @@ def _run_pushforward_convergence(cfg: dict) -> tuple[str, list[str], list[list],
     measure, scheme, seed = _sampling_pieces(cfg)
     m = cfg["orders"]["m"]
     oracle = oracle_pushforward(f, p, m)
-    q = np.array([c[0] for c in eval_map_batch(f, p[None, :])])
+    q = eval_map_batch(f, p[None, :])[0]
     R_mu, _ = measure_radii(measure, domain)
 
     header = ["n", "N", "frobenius_error", "gamma_residual", "lambda_n",
@@ -357,7 +349,7 @@ def _run_map_reconstruction(cfg: dict) -> tuple[str, list[str], list[list], dict
     Z0 = draw_samples(measure, N, scheme, seed)
     Z = p + Z0
     samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance=scheme, seed=seed)
-    q = np.array([c[0] for c in eval_map_batch(f, p[None, :])])
+    q = eval_map_batch(f, p[None, :])[0]
     est = estimate_pushforward(p, q, m, n, samples)
 
     grid = _eval_grid(cfg, p)
@@ -367,21 +359,15 @@ def _run_map_reconstruction(cfg: dict) -> tuple[str, list[str], list[list], dict
         header += [f"f{i + 1}_true_re", f"f{i + 1}_true_im",
                    f"f{i + 1}_hat_re", f"f{i + 1}_hat_im"]
     header += ["abs_error", "status"]
+    approx = reconstruct_eval(est, p, q, m, grid)
+    errs = np.max(np.abs(approx - truth), axis=1)
     rows: list[list] = []
-    worst = 0.0
-    for k, z in enumerate(grid):
+    for z, t, a, err in zip(grid, truth, approx, errs):
         row: list = list(z)
-        try:
-            approx = reconstruct_eval(est, p, q, m, z)
-            for i in range(r):
-                row += [truth[k, i].real, truth[k, i].imag,
-                        approx[i].real, approx[i].imag]
-            err = float(np.max(np.abs(approx - truth[k])))
-            worst = max(worst, err)
-            row += [err, "ok"]
-        except JetflowError as exc:
-            row += [None] * (4 * r + 1) + [f"error:{type(exc).__name__}"]
-        rows.append(row)
+        for i in range(r):
+            row += [t[i].real, t[i].imag, a[i].real, a[i].imag]
+        rows.append(row + [err, "ok"])
+    worst = float(errs.max())
     summary = {"sup_error": worst, "m": m, "n": n, "N": N}
     return "map_reconstruction.csv", header, rows, summary
 
@@ -447,20 +433,15 @@ def _run_vectorfield_recovery(cfg: dict) -> tuple[str, list[str], list[list], di
     for i in range(d):
         header += [f"V{i + 1}_true", f"V{i + 1}_hat_re", f"V{i + 1}_hat_im"]
     header += ["abs_error", "status"]
+    approx = reconstruct_field(gen, p, m, grid)
+    errs = np.max(np.abs(approx - truth), axis=1)
     rows: list[list] = []
-    worst = 0.0
-    for k, z in enumerate(grid):
+    for z, t, a, err in zip(grid, truth, approx, errs):
         row: list = list(z)
-        try:
-            approx = reconstruct_field(gen, p, m, z)
-            for i in range(d):
-                row += [truth[k, i].real, approx[i].real, approx[i].imag]
-            err = float(np.max(np.abs(approx - truth[k])))
-            worst = max(worst, err)
-            row += [err, "ok"]
-        except JetflowError as exc:
-            row += [None] * (3 * d + 1) + [f"error:{type(exc).__name__}"]
-        rows.append(row)
+        for i in range(d):
+            row += [t[i].real, a[i].real, a[i].imag]
+        rows.append(row + [err, "ok"])
+    worst = float(errs.max())
     summary = {
         "sup_error": worst,
         "log_residual": gen.log_residual,

@@ -239,7 +239,7 @@ def eval_map(f: MapExpr, z) -> np.ndarray:
 
 def _eval_batch(node: Node, Z: np.ndarray) -> np.ndarray:
     if isinstance(node, Const):
-        return np.full(Z.shape[0], node.value, dtype=np.complex128)
+        return np.full(Z.shape[0], node.value, dtype=Z.dtype)
     if isinstance(node, Var):
         return Z[:, node.index - 1]
     if isinstance(node, Neg):
@@ -263,8 +263,13 @@ def _eval_batch(node: Node, Z: np.ndarray) -> np.ndarray:
 
 
 def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
-    """Evaluate f at N points at once; returns an (N, r) complex array."""
-    Z = np.asarray(Z, dtype=np.complex128)
+    """Evaluate f at N points at once; returns an (N, r) array.
+
+    Every node maps reals to reals, so real input is evaluated in float64 and
+    gives a float64 result; complex input gives complex128.
+    """
+    Z = np.asarray(Z)
+    Z = Z.astype(np.complex128 if np.iscomplexobj(Z) else np.float64, copy=False)
     if Z.ndim != 2 or Z.shape[1] != f.d:
         raise ValueError(f"points have shape {Z.shape}, expected (N, {f.d})")
     return np.column_stack([_eval_batch(c, Z) for c in f.components])

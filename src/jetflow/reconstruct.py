@@ -20,20 +20,24 @@ from .multiindex import graded_numbering, jet_dimension
 from .pushforward import PushforwardEstimate, default_rcond, estimate_pushforward
 
 
+def read_off(matrix: np.ndarray, p, q, m: int, Z) -> np.ndarray:
+    """Rows u_{p,m}(z) matrix^* (d/dz_i v_{q,m})(0)^*, i = 1..r, for every row z of Z.
+
+    The gradient functionals are built once, so a whole (P, d) grid costs one
+    feature build and one matrix product and gives a (P, r) array; a single
+    point z gives a length-r vector.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
+    G = np.column_stack([basis_gradient_at_zero(q, m, i) for i in range(1, q.shape[0] + 1)])
+    out = feature_matrix_U(p, m, Z) @ (matrix.conj().T @ G.conj())
+    return out if np.ndim(Z) == 2 else out[0]
+
+
 def reconstruct_eval(estimate: PushforwardEstimate, p, q, m: int, z) -> np.ndarray:
-    """Evaluate the reconstructed map at a point z; returns a length-r vector."""
+    """Evaluate the reconstructed map at a point z (length r) or a (P, d) grid ((P, r))."""
     if m != estimate.m:
         raise ValueError(f"estimate was built at order {estimate.m}, not {m}")
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    u = feature_matrix_U(p, m, z[None, :])[0]
-    pulled = estimate.C_hat.conj().T  # r_m(source) x r_m(target)
-    out = np.empty(q.shape[0], dtype=np.complex128)
-    for i in range(1, q.shape[0] + 1):
-        grad = basis_gradient_at_zero(q, m, i)
-        out[i - 1] = u @ pulled @ np.conj(grad)
-    return out
+    return read_off(estimate.C_hat, p, q, m, z)
 
 
 def monomial_design(X, n: int) -> np.ndarray:

@@ -48,6 +48,21 @@ def _tensor_grid(center: np.ndarray, radii: np.ndarray, per_axis: int) -> np.nda
     return np.array(list(product(*axes)))
 
 
+def _symmetric_subset(points: np.ndarray, N: int) -> np.ndarray:
+    """N of the M rows of points, at indices symmetric under j -> M-1-j.
+
+    Index k is the middle of the k-th of N equal strata of 0..M-1, rounded down
+    in the lower half and mirrored into the upper half, so a point-symmetric
+    list (a tensor grid, or its part inside a ball) yields a point-symmetric
+    sample.  N = M keeps every row.
+    """
+    M = points.shape[0]
+    k = np.arange(N)
+    j = (2 * k + 1) * M // (2 * N)
+    j = np.where(2 * k < N - 1, j, M - 1 - j[::-1])
+    return points[j]
+
+
 def _ball_mask(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     return np.linalg.norm(points - center[None, :], axis=1) <= radius * (1 + 1e-12)
 
@@ -75,8 +90,7 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
         if scheme == "halton":
             return center + radii * (2.0 * halton_points(N, d) - 1.0)
         per_axis = math.ceil(N ** (1.0 / d))
-        grid = _tensor_grid(center, radii, per_axis)
-        return grid[:N]
+        return _symmetric_subset(_tensor_grid(center, radii, per_axis), N)
 
     radius = float(measure.radius)
     if scheme == "iid":
@@ -102,5 +116,5 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
         grid = _tensor_grid(center, np.full(d, radius), per_axis)
         inside = grid[_ball_mask(grid, center, radius)]
         if inside.shape[0] >= N:
-            return inside[:N]
+            return _symmetric_subset(inside, N)
         per_axis += 1

@@ -15,15 +15,16 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import BlowupError, QuadratureConvergenceError, SpectrumError
-from .fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
+from .fock import SampleSet, basis_gradient_at_zero  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .maps import MapExpr, eval_map, eval_map_batch
 from .pushforward import PushforwardEstimate
+from .reconstruct import read_off
 
 
 def _field_rhs(V: MapExpr, d: int):
     def rhs(_t, y):
         points = y.reshape(-1, d)
-        return eval_map_batch(V, points).real.reshape(-1)
+        return eval_map_batch(V, points).reshape(-1)
 
     return rhs
 
@@ -150,13 +151,5 @@ def estimate_generator(estimate: PushforwardEstimate, T: float,
 
 
 def reconstruct_field(gen: GeneratorEstimate, p, m: int, z) -> np.ndarray:
-    """Evaluate the recovered vector field at z."""
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    u = feature_matrix_U(p, m, z[None, :])[0]
-    pulled = gen.A_hat.conj().T
-    out = np.empty(p.shape[0], dtype=np.complex128)
-    for i in range(1, p.shape[0] + 1):
-        grad = basis_gradient_at_zero(p, m, i)
-        out[i - 1] = u @ pulled @ np.conj(grad)
-    return out
+    """Evaluate the recovered vector field at a point z (length d) or a (P, d) grid ((P, d))."""
+    return read_off(gen.A_hat, p, p, m, z)

@@ -1,0 +1,44 @@
+import csv
+
+import numpy as np
+
+from jetflow.experiments import run_experiment
+
+
+def _rows(result):
+    with open(result["csv"]) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_pushforward_convergence_two_components(tmp_path):
+    cfg = {
+        "kind": "pushforward-convergence", "d": 1, "r": 2,
+        "map": "0.3*z1 + 0.1*z1^2; 0.5*z1",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 2, "n_sweep": [3, 5, 7]},
+        "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5]},
+        "output_dir": str(tmp_path),
+    }
+    rows = _rows(run_experiment(cfg))
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert float(rows[-1]["frobenius_error"]) < 1e-10
+
+
+def test_map_reconstruction_two_components(tmp_path):
+    cfg = {
+        "kind": "map-reconstruction", "d": 2, "r": 2,
+        "map": "exp(z1) - 1; sin(z2) + 0.1*z1*z2",
+        "base_point": [0.0, 0.0],
+        "domain": {"kind": "box", "radii": [1.0, 1.0]},
+        "orders": {"m": 3, "n": 5},
+        "sampling": {"scheme": "halton", "N": 3000, "support_radii": [0.5, 0.5]},
+        "eval": {"radii": [0.2, 0.2], "points_per_axis": 5},
+        "output_dir": str(tmp_path),
+    }
+    result = run_experiment(cfg)
+    rows = _rows(result)
+    assert len(rows) == 25 and all(row["status"] == "ok" for row in rows)
+    assert result["summary"]["sup_error"] < 1e-3
+    errs = [float(row["abs_error"]) for row in rows]
+    assert np.isclose(max(errs), result["summary"]["sup_error"])

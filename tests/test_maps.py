@@ -145,3 +145,28 @@ def test_compose_maps():
     for z in [0.1, -0.4, 0.25 + 0.1j]:
         expect = 0.5 * (z + z * z)
         assert eval_map(gf, [z])[0] == pytest.approx(expect)
+
+
+# exp, sin, cos, '/' and '^3'; every term stays away from cancellation, so
+# the real and complex paths differ only by their own roundings
+_REAL_MAP = "cos(z1*z2) + sin(z1 + 2)*z1^3/(3 + exp(z2))"
+
+
+def test_batch_real_input_stays_real():
+    f = parse_map(_REAL_MAP, 2, 1)
+    Z = np.random.default_rng(3).uniform(-0.5, 0.5, (2000, 2))
+    real = eval_map_batch(f, Z)
+    cplx = eval_map_batch(f, Z.astype(np.complex128))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.all(np.abs(real - cplx.real) <= 2 * np.spacing(np.abs(cplx.real)))
+
+
+def test_batch_complex_input_matches_numpy_complex_arithmetic():
+    f = parse_map(_REAL_MAP, 2, 1)
+    rng = np.random.default_rng(4)
+    Z = rng.uniform(-0.5, 0.5, (500, 2)) + 1j * rng.uniform(-0.5, 0.5, (500, 2))
+    z1, z2 = Z[:, 0], Z[:, 1]
+    ref = np.cos(z1 * z2) + np.sin(z1 + 2) * z1 ** 3 / (3 + np.exp(z2))
+    out = eval_map_batch(f, Z)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out[:, 0], ref)

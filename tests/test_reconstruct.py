@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from jetflow.errors import EstimatorIllPosedError
-from jetflow.fock import SampleSet
+from jetflow.fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
 from jetflow.hankel import MeasureSpec
 from jetflow.maps import eval_map, eval_map_batch, parse_map
+from jetflow.multiindex import jet_dimension
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
 from jetflow.reconstruct import (
     lsq_equivalence_check,
     pipeline_and_lsq_coefficients,
+    read_off,
     reconstruct_eval,
     truncated_lsq,
 )
@@ -160,3 +162,41 @@ def test_pipeline_constant_restored():
     mono, direct = pipeline_and_lsq_coefficients(g, X, 1, 3)
     assert mono[0] == pytest.approx(2.0, abs=1e-10)
     assert np.abs(mono - direct).max() < 1e-10
+
+
+def _read_off_by_point(matrix, p, q, m, Z):
+    """Reference: one feature row and one gradient vector per point and component."""
+    out = np.empty((len(Z), len(q)), dtype=np.complex128)
+    for k, z in enumerate(Z):
+        u = feature_matrix_U(p, m, z[None, :])[0]
+        for i in range(1, len(q) + 1):
+            out[k, i - 1] = u @ matrix.conj().T @ np.conj(basis_gradient_at_zero(q, m, i))
+    return out
+
+
+@pytest.mark.parametrize("d,r", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_read_off_grid_matches_pointwise(d, r):
+    rng = np.random.default_rng(10 * d + r)
+    m = 3
+    p = rng.uniform(-0.3, 0.3, d) + 1j * rng.uniform(-0.3, 0.3, d)
+    q = rng.uniform(-0.3, 0.3, r) + 1j * rng.uniform(-0.3, 0.3, r)
+    shape = (jet_dimension(r, m), jet_dimension(d, m))
+    matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Z = rng.uniform(-0.5, 0.5, (25, d)) + 1j * rng.uniform(-0.5, 0.5, (25, d))
+    out = read_off(matrix, p, q, m, Z)
+    assert out.shape == (25, r)
+    ref = _read_off_by_point(matrix, p, q, m, Z)
+    assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_reconstruct_eval_point_and_grid():
+    f = parse_map("0.4*z1 + 0.1*z2^2; 0.3*z2", 2, 2)
+    est = oracle_estimate(f, [0.0, 0.0], 3, d=2)
+    grid = np.random.default_rng(6).uniform(-0.3, 0.3, (7, 2))
+    out = reconstruct_eval(est, [0.0, 0.0], [0.0, 0.0], 3, grid)
+    assert out.shape == (7, 2)
+    for k, z in enumerate(grid):
+        single = reconstruct_eval(est, [0.0, 0.0], [0.0, 0.0], 3, z)
+        assert single.shape == (2,)
+        assert np.abs(single - out[k]).max() < 1e-15
+        assert np.abs(single - eval_map(f, z)).max() < 1e-12

@@ -114,3 +114,14 @@ def test_invalid_inputs():
         draw_samples(mu, 10, "sobol")
     with pytest.raises(ValueError):
         draw_samples(MeasureSpec.empirical(np.zeros((2, 1))), 5, "iid")
+
+
+@pytest.mark.parametrize("measure", [MeasureSpec.uniform_box([0.0, 0.0], [1.0, 1.0]),
+                                     MeasureSpec.uniform_ball([0.0, 0.0], 1.0)])
+def test_grid_subset_is_point_symmetric(measure):
+    # N = 10 is no perfect square: 10 of the 16 (box) grid points are kept
+    Z = draw_samples(measure, 10, "grid")
+    assert Z.shape == (10, 2) and len(np.unique(Z, axis=0)) == 10
+    assert np.abs(Z.mean(axis=0)).max() < 1e-12
+    if measure.kind == "uniform_box":
+        assert Z[:, 0].min() == -1.0 and Z[:, 0].max() == 1.0

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from jetflow.errors import BlowupError, QuadratureConvergenceError, SpectrumError
 from jetflow.hankel import MeasureSpec
-from jetflow.maps import parse_map
+from jetflow.maps import eval_map_batch, parse_map
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
 from jetflow.sampling import draw_samples
 from jetflow.vectorfield import (
+    GeneratorEstimate,
     bound_B,
     check_equilibrium,
     estimate_generator,
@@ -224,3 +226,28 @@ def test_log_perturbation_guard():
         lhs = np.linalg.norm(pert - logC, 2)
         rhs = (B * B / gamma2) * np.linalg.norm(E)
         assert lhs <= rhs
+
+
+def test_flow_ensemble_matches_complex_rhs():
+    # the reference right-hand side evaluates the field in complex arithmetic
+    V = parse_map("-z1 + 0.2*z1^2", 1, 1)
+    Z = draw_samples(MeasureSpec.uniform_box([0.0], [0.4]), 200, "halton")
+
+    def rhs(_t, y):
+        return eval_map_batch(V, y.astype(np.complex128)[:, None]).real[:, 0]
+
+    ref = solve_ivp(rhs, (0.0, 0.1), Z[:, 0], method="RK45", rtol=1e-10, atol=1e-10)
+    W = flow_ensemble(V, 0.1, Z)
+    assert np.abs(W[:, 0] - ref.y[:, -1]).max() < 1e-13
+
+
+def test_reconstruct_field_point_and_grid():
+    rng = np.random.default_rng(8)
+    gen = GeneratorEstimate(A_hat=rng.standard_normal((10, 10)), T=1.0, log_residual=0.0)
+    grid = rng.uniform(-0.3, 0.3, (6, 2))
+    out = reconstruct_field(gen, [0.0, 0.0], 3, grid)
+    assert out.shape == (6, 2)
+    for k, z in enumerate(grid):
+        single = reconstruct_field(gen, [0.0, 0.0], 3, z)
+        assert single.shape == (2,)
+        assert np.abs(single - out[k]).max() < 1e-14
