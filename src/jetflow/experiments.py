@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ConfigError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
 from .hankel import MeasureSpec, hankel_spectrum_sweep, moment_matrix, sigma, smallest_eigenvalue
-from .maps import MapExpr, eval_map_batch, parse_map
+from .maps import eval_map_batch, parse_map
 from .multiindex import graded_numbering
 from .pushforward import estimate_pushforward, gamma_check, oracle_pushforward, theorem_rate
 from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
@@ -63,7 +63,7 @@ def _num_list(x, length=None) -> bool:
     return length is None or len(x) == length
 
 
-def _validate_orders(cfg, issues, need_sweep: bool) -> None:
+def _validate_orders(cfg, issues) -> None:
     orders = cfg.get("orders")
     if not isinstance(orders, dict):
         issues.append(("orders", "required object with m and n (or n_sweep)"))
@@ -74,7 +74,7 @@ def _validate_orders(cfg, issues, need_sweep: bool) -> None:
         return
     has_n = "n" in orders
     has_sweep = "n_sweep" in orders
-    if has_n == has_sweep and not need_sweep:
+    if has_n == has_sweep:
         issues.append(("orders", "exactly one of n or n_sweep is required"))
         return
     if has_n and (not _is_int(orders["n"]) or orders["n"] < m):
@@ -199,9 +199,13 @@ def validate_config(cfg: Any) -> list[tuple[str, str]]:
     if kind != "lsq-equivalence":
         _validate_base_point(cfg, issues, d)
         _validate_domain(cfg, issues, d)
-    _validate_orders(cfg, issues, need_sweep=False)
+    _validate_orders(cfg, issues)
+    if kind != "pushforward-convergence":
+        for section, key in (("orders", "n_sweep"), ("sampling", "N_sweep")):
+            if isinstance(cfg.get(section), dict) and key in cfg[section]:
+                issues.append((f"{section}.{key}", "only pushforward-convergence runs sweeps"))
     if kind in ("map-reconstruction", "vectorfield-recovery"):
-        _validate_eval(cfg, issues, d if kind == "vectorfield-recovery" else d)
+        _validate_eval(cfg, issues, d)
     if kind == "vectorfield-recovery":
         flow = cfg.get("flow")
         if not isinstance(flow, dict):

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SupportError
-from .hankel import MeasureSpec
-from .multiindex import graded_numbering
+from .hankel import MeasureSpec, _body_args
+from .multiindex import graded_numbering, graded_powers
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,13 @@ class DomainSpec:
 
     @classmethod
     def box(cls, center, radii) -> "DomainSpec":
-        c = tuple(float(x) for x in np.atleast_1d(center))
-        r = tuple(float(x) for x in np.atleast_1d(radii))
-        if len(c) != len(r):
-            raise ValueError("center and radii have different lengths")
-        if any(x <= 0 for x in r):
-            raise ValueError("box radii must be positive")
+        c, r = _body_args(center, radii=radii)
         return cls(kind="box", center=c, radii=r)
 
     @classmethod
     def ball(cls, center, radius) -> "DomainSpec":
-        c = tuple(float(x) for x in np.atleast_1d(center))
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return cls(kind="ball", center=c, radius=float(radius))
+        c, r = _body_args(center, radius=radius)
+        return cls(kind="ball", center=c, radius=r)
 
     @property
     def d(self) -> int:
@@ -112,17 +105,10 @@ def basis_v(q, beta, w) -> complex:
 
 def _feature_matrix(p: np.ndarray, n: int, Z: np.ndarray) -> np.ndarray:
     table = graded_numbering(p.shape[0], n)
-    diff = Z - p[None, :]
     kernel = np.exp(Z @ np.conj(p) - np.dot(np.conj(p), p).real / 2)
-    # per-coordinate powers of (z - p), reused across columns
-    pows = [np.vander(diff[:, k], N=n + 1, increasing=True) for k in range(p.shape[0])]
-    out = np.empty((Z.shape[0], len(table)), dtype=np.complex128)
-    for i, alpha in enumerate(table.entries):
-        col = kernel.copy()
-        for k, a in enumerate(alpha):
-            if a:
-                col = col * pows[k][:, a]
-        out[:, i] = col / math.sqrt(table.factorials[i])
+    out = graded_powers(Z - p[None, :], n)
+    out *= kernel[:, None]
+    out /= np.sqrt(np.array(table.factorials, dtype=np.float64))
     return out
 
 
@@ -169,18 +155,14 @@ def basis_gradient_at_zero(q, m: int, i: int) -> np.ndarray:
     if not 1 <= i <= r:
         raise ValueError(f"coordinate {i} out of range 1..{r}")
     table = graded_numbering(r, m)
-    neg_q = -q
-    pref = math.exp(-float(np.dot(np.conj(q), q).real) / 2)
-    out = np.zeros(len(table), dtype=np.complex128)
+    mono = graded_powers(-q[None, :], m)[0]
+    out = np.conj(q[i - 1]) * mono
+    e_i = tuple(int(k == i - 1) for k in range(r))
     for j, beta in enumerate(table.entries):
-        mono = np.prod(neg_q ** np.array(beta))
-        term = np.conj(q[i - 1]) * mono
-        if beta[i - 1] > 0:
-            shifted = list(beta)
-            shifted[i - 1] -= 1
-            term = term + beta[i - 1] * np.prod(neg_q ** np.array(shifted))
-        out[j] = pref * term / math.sqrt(table.factorials[j])
-    return out
+        if beta[i - 1]:
+            out[j] += beta[i - 1] * mono[table.position(np.subtract(beta, e_i))]
+    pref = math.exp(-float(np.dot(np.conj(q), q).real) / 2)
+    return pref * out / np.sqrt(np.array(table.factorials, dtype=np.float64))
 
 
 def minkowski(domain: DomainSpec, z) -> float:

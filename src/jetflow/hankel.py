@@ -17,7 +17,22 @@ import mpmath
 import numpy as np
 
 from .errors import PrecisionError
-from .multiindex import graded_numbering, jet_dimension
+from .multiindex import graded_numbering, graded_powers, jet_dimension
+
+
+def _body_args(center, radii=None, radius=None):
+    """Coerce and check a box's (center, radii), or a ball's (center, radius) if radius is given."""
+    c = tuple(float(x) for x in np.atleast_1d(center))
+    if radius is not None:
+        if radius <= 0:
+            raise ValueError("ball radius must be positive")
+        return c, float(radius)
+    r = tuple(float(x) for x in np.atleast_1d(radii))
+    if len(c) != len(r):
+        raise ValueError("center and radii have different lengths")
+    if any(x <= 0 for x in r):
+        raise ValueError("box radii must be positive")
+    return c, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,20 +58,13 @@ class MeasureSpec:
 
     @classmethod
     def uniform_box(cls, center, radii, normalized: bool = True) -> "MeasureSpec":
-        c = tuple(float(x) for x in np.atleast_1d(center))
-        r = tuple(float(x) for x in np.atleast_1d(radii))
-        if len(c) != len(r):
-            raise ValueError("center and radii have different lengths")
-        if any(x <= 0 for x in r):
-            raise ValueError("box radii must be positive")
+        c, r = _body_args(center, radii=radii)
         return cls(kind="uniform_box", center=c, radii=r, normalized=normalized)
 
     @classmethod
     def uniform_ball(cls, center, radius, normalized: bool = True) -> "MeasureSpec":
-        c = tuple(float(x) for x in np.atleast_1d(center))
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return cls(kind="uniform_ball", center=c, radius=float(radius), normalized=normalized)
+        c, r = _body_args(center, radius=radius)
+        return cls(kind="uniform_ball", center=c, radius=r, normalized=normalized)
 
     @property
     def d(self) -> int:
@@ -81,19 +89,11 @@ def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
     Returns a float array, or nested Fraction lists when exact=True (boxes only).
     """
     table = graded_numbering(measure.d, n)
-    size = len(table)
     if measure.kind == "empirical":
         if exact:
             raise ValueError("exact moments are only available for uniform_box measures")
-        X = measure.points
-        V = np.ones((X.shape[0], size))
-        for i, alpha in enumerate(table.entries):
-            col = np.ones(X.shape[0])
-            for k, a in enumerate(alpha):
-                if a:
-                    col = col * X[:, k] ** a
-            V[:, i] = col
-        D = V.T @ V / X.shape[0]
+        V = graded_powers(measure.points, n)
+        D = V.T @ V / V.shape[0]
         return (D + D.T) / 2
     if measure.kind == "uniform_box":
         per_axis = [

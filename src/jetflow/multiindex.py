@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 def jet_dimension(d: int, n: int) -> int:
     """Count of multi-indices with |alpha| <= n in d variables: C(n+d, d)."""
@@ -54,6 +56,15 @@ class MultiIndexTable:
         """alpha! = prod_k alpha_k! for each entry."""
         return tuple(math.prod(math.factorial(a) for a in alpha) for alpha in self.entries)
 
+    @cached_property
+    def parents(self) -> tuple[tuple[int, int], ...]:
+        """(j, k) for each entry i >= 1: entry i = entry j + e_k, k its first nonzero coordinate."""
+        out = []
+        for alpha in self.entries[1:]:
+            k = next(k for k, a in enumerate(alpha) if a)
+            out.append((self.position(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]), k))
+        return tuple(out)
+
     def position(self, alpha: Sequence[int]) -> int:
         key = tuple(int(a) for a in alpha)
         try:
@@ -77,3 +88,19 @@ def graded_numbering(d: int, n: int) -> MultiIndexTable:
         entries.extend(_homogeneous(d, degree))
     assert len(entries) == size
     return MultiIndexTable(d=d, max_degree=n, entries=tuple(entries))
+
+
+def graded_powers(X, n: int) -> np.ndarray:
+    """N x r_n matrix of the monomials x^alpha of the rows of X, in graded order and X's dtype.
+
+    Column alpha is column (alpha - e_k) times x_k: one multiply per column, one array.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"expected an (N, d) array, got shape {X.shape}")
+    table = graded_numbering(X.shape[1], n)
+    out = np.empty((X.shape[0], len(table)), dtype=X.dtype)
+    out[:, 0] = 1
+    for i, (j, k) in enumerate(table.parents, start=1):
+        np.multiply(out[:, j], X[:, k], out=out[:, i])
+    return out

@@ -19,7 +19,7 @@ from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
 from .fock import SampleSet, feature_matrix_U, feature_matrix_V
 from .jets import constant_jet, jet_exp, jet_int_pow, jet_mul
 from .maps import MapExpr, jet_of_map
-from .multiindex import graded_numbering, jet_dimension
+from .multiindex import graded_numbering, graded_powers, jet_dimension
 
 
 def default_rcond(N: int, r_n: int) -> float:
@@ -98,15 +98,14 @@ class OraclePushforward:
     jacobian: np.ndarray  # r x d
 
 
-def _gamma_range(alpha: tuple[int, ...]):
-    return product(*(range(a + 1) for a in alpha))
-
-
 def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
     """Exact push-forward block of order m computed from jets of f about p."""
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    p = np.atleast_1d(np.asarray(p))
+    if np.any(np.imag(p) != 0):
+        raise ValueError(f"complex base points are not supported yet, got {p}")
+    p = np.real(p).astype(np.float64)
     if p.shape != (f.d,):
         raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
     d, r = f.d, f.r
@@ -133,21 +132,18 @@ def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
 
     # contraction with the derivative-functional coefficients of the source features
     M = np.zeros((len(table_E), len(table_E)))
+    neg_p = graded_powers(-p[None, :], m)[0]
     pref = math.exp(-float(p @ p) / 2)
     for i, alpha in enumerate(table_E.entries):
         scale = pref / math.sqrt(table_E.factorials[i])
-        for gamma in _gamma_range(alpha):
+        for gamma in product(*(range(a + 1) for a in alpha)):
             t = table_E.position(gamma)
             binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-            mono = math.prod((-p[k]) ** (alpha[k] - gamma[k]) for k in range(d))
+            mono = neg_p[table_E.position(tuple(a - g for a, g in zip(alpha, gamma)))]
             M[i, t] = scale * binom * mono * table_E.factorials[t]
 
-    row_scale = np.array(
-        [
-            math.exp(float(np.vdot(q, q).real) / 2) / math.sqrt(table_F.factorials[j])
-            for j in range(len(table_F))
-        ]
-    )
+    fac_F = np.array(table_F.factorials, dtype=np.float64)
+    row_scale = math.exp(float(np.vdot(q, q).real) / 2) / np.sqrt(fac_F)
     C = (row_scale[:, None] * np.conj(H)) @ M.T
     return OraclePushforward(C=C, jacobian=jac)
 

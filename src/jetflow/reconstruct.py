@@ -7,16 +7,14 @@ least-squares polynomial fit to degree m (after restoring the constant term).
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimatorIllPosedError
 from .fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
-from .multiindex import graded_numbering, jet_dimension
+from .multiindex import graded_numbering, graded_powers, jet_dimension
 from .pushforward import PushforwardEstimate, default_rcond, estimate_pushforward
 
 
@@ -42,17 +40,7 @@ def reconstruct_eval(estimate: PushforwardEstimate, p, q, m: int, z) -> np.ndarr
 
 def monomial_design(X, n: int) -> np.ndarray:
     """N x r_n matrix of plain monomials x^alpha in graded order."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    table = graded_numbering(X.shape[1], n)
-    pows = [np.vander(X[:, k], N=n + 1, increasing=True) for k in range(X.shape[1])]
-    P = np.ones((X.shape[0], len(table)))
-    for i, alpha in enumerate(table.entries):
-        col = np.ones(X.shape[0])
-        for k, a in enumerate(alpha):
-            if a:
-                col = col * pows[k][:, a]
-        P[:, i] = col
-    return P
+    return graded_powers(np.atleast_2d(np.asarray(X, dtype=np.float64)), n)
 
 
 def truncated_lsq(X, Y, m: int, n: int, rcond: float | None = None) -> np.ndarray:

@@ -25,12 +25,15 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return x
 
 
-def halton_points(N: int, d: int) -> np.ndarray:
-    """First N Halton points in (0,1)^d, indices starting at 1."""
+def _halton(indices: np.ndarray, d: int) -> np.ndarray:
     if d > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
-    idx = np.arange(1, N + 1)
-    return np.column_stack([_radical_inverse(idx, _PRIMES[k]) for k in range(d)])
+    return np.column_stack([_radical_inverse(indices, _PRIMES[k]) for k in range(d)])
+
+
+def halton_points(N: int, d: int) -> np.ndarray:
+    """First N Halton points in (0,1)^d, indices starting at 1."""
+    return _halton(np.arange(1, N + 1), d)
 
 
 def _grid_axes(center: np.ndarray, radii: np.ndarray, per_axis: int) -> list[np.ndarray]:
@@ -105,8 +108,7 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
         block = max(N, 64)
         start = 1
         while out.shape[0] < N:
-            idx = np.arange(start, start + block)
-            u = np.column_stack([_radical_inverse(idx, _PRIMES[k]) for k in range(d)])
+            u = _halton(np.arange(start, start + block), d)
             pts = center + radius * (2.0 * u - 1.0)
             out = np.vstack([out, pts[_ball_mask(pts, center, radius)]])
             start += block

@@ -88,6 +88,22 @@ def test_validate_reports_all_issues(tmp_path, capsys):
     assert "sampling.scheme" in fields
 
 
+
+@pytest.mark.parametrize("kind", ["map-reconstruction", "lsq-equivalence", "vectorfield-recovery"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweeps_outside_convergence_exit_2(tmp_path, capsys, kind, command):
+    cfg = demo_config(kind)
+    cfg["orders"]["n_sweep"] = [cfg["orders"].pop("n")]
+    cfg["sampling"]["N_sweep"] = [cfg["sampling"].pop("N")]
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "sweep.json", cfg)
+    assert main([command, path]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config-invalid"
+    fields = {issue["field"] for issue in record["issues"]}
+    assert {"orders.n_sweep", "sampling.N_sweep"} <= fields
+    assert not (tmp_path / "out").exists()
+
 def test_unreadable_config_exits_2(capsys):
     assert main(["run", "no-such-file.json"]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -15,6 +15,7 @@ from jetflow.hankel import (
     sigma,
     smallest_eigenvalue,
 )
+from jetflow.multiindex import graded_numbering
 from jetflow.sampling import draw_samples
 
 
@@ -47,6 +48,15 @@ def test_moment_matrix_2d_tensor():
     D = moment_matrix(mu, 1)
     # basis {1, x, y}
     assert np.allclose(D, np.diag([1, 1 / 3, 1 / 3]))
+
+
+def test_moment_matrix_empirical_2d_brute_force():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, (50, 2))
+    table = graded_numbering(2, 3)
+    V = np.array([[np.prod(x ** np.array(alpha)) for alpha in table.entries] for x in X])
+    D = moment_matrix(MeasureSpec.empirical(X), 3)
+    assert np.abs(D - V.T @ V / 50).max() < 1e-14
 
 
 def test_moments_match_qmc():

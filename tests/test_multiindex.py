@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from jetflow.multiindex import MultiIndexTable, graded_numbering, jet_dimension
+from jetflow.multiindex import MultiIndexTable, graded_numbering, graded_powers, jet_dimension
 
 
 def test_dimension_values():
@@ -81,3 +82,43 @@ def test_table_is_frozen():
     assert isinstance(t, MultiIndexTable)
     with pytest.raises(AttributeError):
         t.d = 3
+
+
+def brute_force_powers(X, n):
+    table = graded_numbering(X.shape[1], n)
+    return np.array([[np.prod(x ** np.array(alpha)) for alpha in table.entries] for x in X])
+
+
+def test_graded_powers_match_brute_force_complex_3d():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1, 1, (7, 3)) + 1j * rng.uniform(-1, 1, (7, 3))
+    P = graded_powers(X, 4)
+    assert P.shape == (7, jet_dimension(3, 4))
+    assert np.abs(P - brute_force_powers(X, 4)).max() < 1e-14
+
+
+def test_graded_powers_order_zero_is_ones():
+    X = np.array([[0.5, -2.0], [3.0, 0.0]])
+    P = graded_powers(X, 0)
+    assert P.shape == (2, 1)
+    assert np.array_equal(P, np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_graded_powers_keep_dtype(dtype):
+    X = np.array([[0.5, -2.0], [3.0, 0.25]], dtype=dtype)
+    P = graded_powers(X, 3)
+    assert P.dtype == dtype
+    assert np.array_equal(P, brute_force_powers(X, 3))
+
+
+def test_graded_powers_reject_non_matrix():
+    with pytest.raises(ValueError):
+        graded_powers(np.ones(3), 2)
+
+
+def test_parents_step_down_one_coordinate():
+    t = graded_numbering(3, 3)
+    for i, (j, k) in enumerate(t.parents, start=1):
+        step = tuple(a - b for a, b in zip(t.entries[i], t.entries[j]))
+        assert step == tuple(int(c == k) for c in range(3))

@@ -207,3 +207,17 @@ def test_estimate_metadata():
     assert est.C_hat.shape == (3, 3)
     assert est.m == 2 and est.n == 3
     assert est.smallest_kept_sv > est.pinv_rcond * est.largest_sv
+
+
+def test_oracle_rejects_complex_base_point():
+    f = parse_map("z1^2", 1, 1)
+    with pytest.raises(ValueError, match="complex"):
+        oracle_pushforward(f, np.array([0.5 + 0.5j]), 2)
+
+
+def test_oracle_accepts_complex_dtype_with_zero_imaginary_part():
+    f = parse_map("z1^2 + 0.3*z1*z2; z2", 2, 2)
+    real = oracle_pushforward(f, np.array([0.5, -0.2]), 3)
+    cplx = oracle_pushforward(f, np.array([0.5 + 0j, -0.2 + 0j]), 3)
+    assert np.array_equal(real.C, cplx.C)
+    assert np.array_equal(real.jacobian, cplx.jacobian)

@@ -11,6 +11,7 @@ from jetflow.multiindex import jet_dimension
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
 from jetflow.reconstruct import (
     lsq_equivalence_check,
+    monomial_design,
     pipeline_and_lsq_coefficients,
     read_off,
     reconstruct_eval,
@@ -200,3 +201,11 @@ def test_reconstruct_eval_point_and_grid():
         assert single.shape == (2,)
         assert np.abs(single - out[k]).max() < 1e-15
         assert np.abs(single - eval_map(f, z)).max() < 1e-12
+
+
+def test_monomial_design_graded_columns():
+    # graded order for d=2, n=2: 1, x, y, x^2, xy, y^2
+    P = monomial_design([[2, 3], [-1, 0.5]], 2)
+    assert P.dtype == np.float64
+    assert np.array_equal(P, [[1, 2, 3, 4, 6, 9], [1, -1, 0.5, 1, -0.5, 0.25]])
+    assert np.array_equal(monomial_design([2.0], 3), [[1, 2, 4, 8]])

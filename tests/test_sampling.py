@@ -125,3 +125,10 @@ def test_grid_subset_is_point_symmetric(measure):
     assert np.abs(Z.mean(axis=0)).max() < 1e-12
     if measure.kind == "uniform_box":
         assert Z[:, 0].min() == -1.0 and Z[:, 0].max() == 1.0
+
+
+@pytest.mark.parametrize("measure", [MeasureSpec.uniform_box([0.0] * 21, [1.0] * 21),
+                                     MeasureSpec.uniform_ball([0.0] * 21, 1.0)])
+def test_halton_rejects_more_than_20_dimensions(measure):
+    with pytest.raises(ValueError, match="up to 20 dimensions"):
+        draw_samples(measure, 4, "halton")
