@@ -23,6 +23,12 @@ def _error_record(kind: str, **fields) -> None:
     print(json.dumps({"error": kind, **fields}), file=sys.stderr)
 
 
+def _config_invalid(path: str, issues) -> int:
+    _error_record("config-invalid", path=path,
+                  issues=[{"field": f, "reason": r} for f, r in issues])
+    return 2
+
+
 def _load_config(path: str) -> dict | None:
     try:
         with open(path) as fh:
@@ -38,17 +44,10 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if cfg is None:
         return 2
-    issues = validate_config(cfg)
-    if issues:
-        _error_record("config-invalid", path=args.config,
-                      issues=[{"field": f, "reason": r} for f, r in issues])
-        return 2
     try:
         result = run_experiment(cfg)
     except ConfigError as exc:
-        _error_record("config-invalid", path=args.config,
-                      issues=[{"field": f, "reason": r} for f, r in exc.issues])
-        return 2
+        return _config_invalid(args.config, exc.issues)
     except JetflowError as exc:
         _error_record("pipeline-failure", type=type(exc).__name__, reason=str(exc))
         return 1
@@ -64,9 +63,7 @@ def _cmd_validate(args) -> int:
         return 2
     issues = validate_config(cfg)
     if issues:
-        _error_record("config-invalid", path=args.config,
-                      issues=[{"field": f, "reason": r} for f, r in issues])
-        return 2
+        return _config_invalid(args.config, issues)
     print(f"{args.config}: ok")
     return 0
 
@@ -111,15 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad arguments already; normalize other codes
         return 2 if exc.code else 0
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        _error_record("config-invalid", issues=[
-            {"field": f, "reason": r} for f, r in exc.issues])
-        return 2
-    except JetflowError as exc:
-        _error_record("pipeline-failure", type=type(exc).__name__, reason=str(exc))
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
 """Moment matrices and their smallest eigenvalues at configurable precision.
 
 Moments of product measures are assembled exactly (rational arithmetic on
-request); smallest eigenvalues are certified by inertia-counting bisection in
-software floats of a requested mantissa width, which keeps the count reliable
-far below double-precision underflow of the spectrum.
+request).  A smallest eigenvalue is the mpmath.eigsy value at a requested
+mantissa width b, certified to relative width 2**(-b // 4) by two Sylvester
+inertia counts in exact rational arithmetic, which stay exact far below the
+double-precision underflow of the spectrum.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -133,20 +135,19 @@ class HankelSpectrum:
     certified: bool
 
 
-class _PivotBreakdown(Exception):
-    pass
+def _fraction(x) -> Fraction:
+    """Exact value of a matrix entry: rationals as they are, floats through float()."""
+    return Fraction(x) if isinstance(x, numbers.Rational) else Fraction(float(x))
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    if isinstance(x, (int, np.integer)):
-        return mpmath.mpf(int(x))
-    return mpmath.mpf(float(x))
+def _dyadic(x) -> Fraction:
+    """Exact value of an mpf (man_exp holds |x| = man * 2**exp)."""
+    man, exp = x.man_exp
+    return (-man if x < 0 else man) * Fraction(2) ** exp
 
 
-def _count_eigs_below(rows: list[list], t) -> int:
-    """Negative pivots of D - tI under symmetric elimination (Sylvester inertia)."""
+def _count_eigs_below(rows: list[list[Fraction]], t: Fraction) -> int:
+    """Eigenvalues of D below t: the negative pivots of D - tI in exact LDL^T (Sylvester)."""
     size = len(rows)
     a = [[rows[i][j] for j in range(i + 1)] for i in range(size)]
     for i in range(size):
@@ -155,7 +156,8 @@ def _count_eigs_below(rows: list[list], t) -> int:
     for k in range(size):
         piv = a[k][k]
         if piv == 0:
-            raise _PivotBreakdown
+            raise PrecisionError(f"exact zero pivot in the inertia count at t = {float(t):.6e}; "
+                                 "retry with more bits")
         if piv < 0:
             neg += 1
         inv = 1 / piv
@@ -170,16 +172,15 @@ def _count_eigs_below(rows: list[list], t) -> int:
     return neg
 
 
-def smallest_eigenvalue(
-    D,
-    precision_bits: int = 256,
-    order: Optional[int] = None,
-    upper_hint=None,
-) -> HankelSpectrum:
-    """Smallest eigenvalue of a real symmetric matrix by inertia bisection.
+def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = None) -> HankelSpectrum:
+    """Certified smallest eigenvalue of a real symmetric matrix.
 
-    The bisection runs in software floats with `precision_bits` mantissa bits
-    and stops at relative bracket width 2**(-precision_bits // 4).
+    The value is the smallest eigenvalue from mpmath.eigsy at `precision_bits`.
+    The entries are converted to exact rationals (floats exactly), and two exact
+    inertia counts at dyadic points t_lo < value < t_hi prove that no eigenvalue
+    lies below t_lo and at least one lies below t_hi, with relative width
+    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  If either count
+    fails, PrecisionError asks for more bits; nothing uncertified is returned.
     """
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
@@ -200,77 +201,29 @@ def smallest_eigenvalue(
             for j in range(i):
                 if raw_rows[i][j] != raw_rows[j][i]:
                     raise ValueError("matrix is not symmetric")
+    rows = [[_fraction(x) for x in row] for row in raw_rows]
+    order = order if order is not None else size - 1
+    if not any(x for row in rows for x in row):
+        return HankelSpectrum(order, mpmath.mpf(0), precision_bits, True)
     with mpmath.workprec(precision_bits):
-        rows = [[_to_mpf(x) for x in row] for row in raw_rows]
-        diag = [rows[i][i] for i in range(size)]
-        radius = [
-            mpmath.fsum(abs(rows[i][j]) for j in range(size) if j != i) for i in range(size)
-        ]
-        scale = max(abs(d) + r for d, r in zip(diag, radius))
-        if scale == 0:
-            return HankelSpectrum(order if order is not None else size - 1,
-                                  mpmath.mpf(0), precision_bits, True)
-        eps = mpmath.mpf(2) ** (-(precision_bits // 2))
-        lo = min(d - r for d, r in zip(diag, radius)) - scale * eps
-        hi = min(diag) + scale * eps
-        if upper_hint is not None:
-            hi = min(hi, _to_mpf(upper_hint) + scale * eps)
-
-        def count(t):
-            shift = (hi - lo) / 997
-            for _ in range(4):
-                try:
-                    return _count_eigs_below(rows, t)
-                except _PivotBreakdown:
-                    t = t + shift
-            raise PrecisionError(
-                f"symmetric factorization broke down at {precision_bits} bits; retry with more"
-            )
-
-        bumps = 0
-        while count(hi) == 0:
-            hi += scale * eps * 2 ** bumps
-            bumps += 1
-            if bumps > precision_bits:
-                raise PrecisionError("could not bracket the smallest eigenvalue; retry with more bits")
-        reltol = mpmath.mpf(2) ** (-(precision_bits // 4))
-        max_iter = 8 * precision_bits
-        iters = 0
-        while hi - lo > reltol * max(abs(lo), abs(hi)):
-            iters += 1
-            if iters > max_iter:
-                raise PrecisionError(
-                    f"bisection did not reach relative width 2^-{precision_bits // 4}; retry with more bits"
-                )
-            mid = (lo + hi) / 2
-            if count(mid) >= 1:
-                hi = mid
-            else:
-                lo = mid
-        lam = (lo + hi) / 2
-    return HankelSpectrum(
-        n=order if order is not None else size - 1,
-        Lambda=lam,
-        precision_bits=precision_bits,
-        certified=True,
-    )
+        M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
+        lam = min(mpmath.eigsy(M, eigvals_only=True))
+    quarter = precision_bits // 4
+    with mpmath.workprec(quarter + 8):  # short dyadic endpoints keep Fraction growth small
+        w = mpmath.ldexp(abs(lam), -(quarter + 1))
+        t_lo, t_hi = _dyadic(lam - w), _dyadic(lam + w)
+    if _count_eigs_below(rows, t_lo) != 0 or _count_eigs_below(rows, t_hi) < 1:
+        raise PrecisionError(
+            f"eigenvalue hint {mpmath.nstr(lam, 8)} is not certified within relative width "
+            f"2^-{quarter} at {precision_bits} bits; retry with more bits"
+        )
+    return HankelSpectrum(n=order, Lambda=lam, precision_bits=precision_bits, certified=True)
 
 
 def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[HankelSpectrum]:
-    """Smallest eigenvalues of the interval Hankel matrices for n = 0..n_max.
-
-    Nestedness gives interlacing, so each certified value brackets the next
-    search from above.
-    """
-    out: list[HankelSpectrum] = []
-    hint = None
-    for n in range(n_max + 1):
-        spec = smallest_eigenvalue(
-            lebesgue_hankel(a, r, n), precision_bits, order=n, upper_hint=hint
-        )
-        out.append(spec)
-        hint = spec.Lambda
-    return out
+    """Certified smallest eigenvalues of the interval Hankel matrices for n = 0..n_max."""
+    return [smallest_eigenvalue(lebesgue_hankel(a, r, n), precision_bits, order=n)
+            for n in range(n_max + 1)]
 
 
 def sigma(a: float, r: float) -> float:

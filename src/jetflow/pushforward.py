@@ -27,6 +27,25 @@ def default_rcond(N: int, r_n: int) -> float:
     return 1e-12 * max(N, r_n)
 
 
+def rank_checked_svd(M: np.ndarray, name: str, rcond: float | None = None):
+    """Thin SVD (A, s, Bh, rcond) of an N x r least-squares matrix of full column rank.
+
+    Warns when N < r and raises EstimatorIllPosedError unless all r singular
+    values exceed rcond * s[0] (rcond defaults to default_rcond(N, r)).
+    """
+    N, r = M.shape
+    if N < r:
+        warnings.warn(f"only {N} samples for the {r} columns of the {name}; "
+                      "the fit is underdetermined", stacklevel=3)
+    if rcond is None:
+        rcond = default_rcond(N, r)
+    A, s, Bh = np.linalg.svd(M, full_matrices=False)
+    kept = int(np.count_nonzero(s > rcond * s[0]))
+    if kept < r:
+        raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s.copy())
+    return A, s, Bh, rcond
+
+
 @dataclass(frozen=True)
 class PushforwardEstimate:
     """Regression estimate of the order-m push-forward from order-n features."""
@@ -60,32 +79,17 @@ def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet,
     d, r = p.shape[0], q.shape[0]
     U = feature_matrix_U(p, n, samples.Z)
     V = feature_matrix_V(q, m, samples.W)
-    N, rn_E = U.shape
-    rm_E = jet_dimension(d, m)
-    if N < rn_E:
-        warnings.warn(
-            f"only {N} samples for {rn_E} features; estimate is underdetermined",
-            stacklevel=2,
-        )
-    if rcond is None:
-        rcond = default_rcond(N, rn_E)
-    A, s, Bh = np.linalg.svd(U, full_matrices=False)
-    cutoff = rcond * s[0]
-    kept = int(np.count_nonzero(s > cutoff))
-    if kept < rn_E:
-        raise EstimatorIllPosedError(
-            f"feature matrix has numerical rank {kept} < {rn_E}", s.copy()
-        )
+    A, s, Bh, rcond = rank_checked_svd(U, "feature matrix", rcond)
     # (U*)^+ = A diag(1/s) B^h, so V* (U*)^+ in three thin products
     G = (V.conj().T @ A) * (1.0 / s)[None, :] @ Bh
     return PushforwardEstimate(
-        C_hat=G[:, :rm_E],
+        C_hat=G[:, :jet_dimension(d, m)],
         m=m,
         n=n,
         d=d,
         r=r,
         pinv_rcond=float(rcond),
-        smallest_kept_sv=float(s[kept - 1]),
+        smallest_kept_sv=float(s[-1]),
         largest_sv=float(s[0]),
     )
 

@@ -7,15 +7,12 @@ least-squares polynomial fit to degree m (after restoring the constant term).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import EstimatorIllPosedError
 from .fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
 from .multiindex import graded_numbering, graded_powers, jet_dimension
-from .pushforward import PushforwardEstimate, default_rcond, estimate_pushforward
+from .pushforward import PushforwardEstimate, estimate_pushforward, rank_checked_svd
 
 
 def read_off(matrix: np.ndarray, p, q, m: int, Z) -> np.ndarray:
@@ -51,19 +48,7 @@ def truncated_lsq(X, Y, m: int, n: int, rcond: float | None = None) -> np.ndarra
     Y = np.asarray(Y, dtype=np.complex128).ravel()
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} points but {Y.shape[0]} values")
-    P = monomial_design(X, n)
-    N, rn = P.shape
-    if N < rn:
-        warnings.warn(f"only {N} samples for {rn} monomials; fit is underdetermined",
-                      stacklevel=2)
-    if rcond is None:
-        rcond = default_rcond(N, rn)
-    A, s, Bh = np.linalg.svd(P, full_matrices=False)
-    kept = int(np.count_nonzero(s > rcond * s[0]))
-    if kept < rn:
-        raise EstimatorIllPosedError(
-            f"monomial design matrix has numerical rank {kept} < {rn}", s.copy()
-        )
+    A, s, Bh, _ = rank_checked_svd(monomial_design(X, n), "monomial design matrix", rcond)
     coeff = Bh.conj().T @ ((A.conj().T @ Y) / s)
     return coeff[: jet_dimension(X.shape[1], m)]
 

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from jetflow.errors import PrecisionError
 from jetflow.hankel import (
     MeasureSpec,
     decay_rate_check,
@@ -97,6 +99,45 @@ def test_two_precision_agreement():
     b = float(smallest_eigenvalue(D, 512).Lambda)
     assert a < 1e-8
     assert a == pytest.approx(b, rel=1e-10)
+    # at 64 bits the certified relative width is 2^-16
+    c = smallest_eigenvalue(D, 64)
+    assert c.certified
+    assert abs(float(c.Lambda) - a) <= 2.0 ** -16 * a
+
+
+@pytest.mark.parametrize("wrong_hint", [
+    lambda eigs: eigs[0] * (1 + mpmath.mpf("1e-6")),
+    lambda eigs: eigs[1],
+], ids=["true-value-times-1+1e-6", "second-smallest"])
+def test_wrong_hint_is_not_certified(monkeypatch, wrong_hint):
+    true_eigsy = mpmath.eigsy
+
+    def eigsy(A, eigvals_only=False):
+        return [wrong_hint(sorted(true_eigsy(A, eigvals_only=True)))]
+
+    monkeypatch.setattr(mpmath, "eigsy", eigsy)
+    with pytest.raises(PrecisionError, match="retry with more bits"):
+        smallest_eigenvalue(lebesgue_hankel(0.0, 1.0, 6), 256)
+
+
+def test_zero_matrix_is_certified_zero():
+    spec = smallest_eigenvalue(np.zeros((3, 3)), 128)
+    assert spec.Lambda == 0
+    assert spec.certified
+    assert spec.n == 2
+
+
+def test_negative_smallest_eigenvalue():
+    spec = smallest_eigenvalue([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]], 64)
+    assert float(spec.Lambda) == pytest.approx(-1.0, rel=2.0 ** -16)
+    assert spec.certified
+
+
+def test_exact_zero_pivot_raises():
+    # at 64 bits the upper end is t_hi = 1 + 2^-17, so D - t_hi I has first pivot 0
+    D = [[1 + Fraction(1, 2 ** 17), Fraction(0)], [Fraction(0), Fraction(1)]]
+    with pytest.raises(PrecisionError, match="zero pivot"):
+        smallest_eigenvalue(D, 64)
 
 
 def test_asymmetric_input_rejected():
