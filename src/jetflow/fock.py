@@ -68,8 +68,8 @@ class SampleSet:
         return self.Z.shape[0]
 
 
-def _as_point(x, d: Optional[int] = None) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+def _as_point(x, d: Optional[int] = None, dtype=np.complex128) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(x, dtype=dtype))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if d is not None and v.shape != (d,):
@@ -112,21 +112,28 @@ def _feature_matrix(p: np.ndarray, n: int, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _feature_args(base, points, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Base point and (N, d) points, in float64 when both are real and in complex128 otherwise."""
+    dtype = np.complex128 if np.iscomplexobj(base) or np.iscomplexobj(points) else np.float64
+    base = _as_point(base, dtype=dtype)
+    points = np.atleast_2d(np.asarray(points, dtype=dtype))
+    if points.shape[1] != base.shape[0]:
+        raise ValueError(f"{what} have shape {points.shape}, expected (N, {base.shape[0]})")
+    return base, points
+
+
 def feature_matrix_U(p, n: int, Z) -> np.ndarray:
-    """N x r_n matrix with rows u_{p,*}(z^i) in graded order."""
-    p = _as_point(p)
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.complex128))
-    if Z.shape[1] != p.shape[0]:
-        raise ValueError(f"points have shape {Z.shape}, expected (N, {p.shape[0]})")
+    """N x r_n matrix with rows u_{p,*}(z^i) in graded order.
+
+    Real p and Z give a float64 matrix; a complex p or Z gives complex128.
+    """
+    p, Z = _feature_args(p, Z, "points")
     return _feature_matrix(p, n, Z)
 
 
 def feature_matrix_V(q, m: int, W) -> np.ndarray:
-    """N x r_m matrix with rows v_{q,*}(w^i) at the image points."""
-    q = _as_point(q)
-    W = np.atleast_2d(np.asarray(W, dtype=np.complex128))
-    if W.shape[1] != q.shape[0]:
-        raise ValueError(f"image points have shape {W.shape}, expected (N, {q.shape[0]})")
+    """N x r_m matrix with rows v_{q,*}(w^i) at the image points, in feature_matrix_U's dtype rule."""
+    q, W = _feature_args(q, W, "image points")
     return _feature_matrix(q, m, W)
 
 

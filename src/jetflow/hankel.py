@@ -146,22 +146,30 @@ def _dyadic(x) -> Fraction:
     return (-man if x < 0 else man) * Fraction(2) ** exp
 
 
-def _count_eigs_below(rows: list[list[Fraction]], t: Fraction) -> int:
-    """Eigenvalues of D below t: the negative pivots of D - tI in exact LDL^T (Sylvester)."""
+def _inertia(rows: list[list[Fraction]], t: Fraction, split_zeros: bool = False) -> tuple[int, int]:
+    """Eigenvalues of D below t and equal to t: the pivot signs of D - tI in exact LDL^T (Sylvester).
+
+    A zero pivot raises PrecisionError, unless split_zeros is set and the rest
+    of its column is zero too: then it splits off an exact eigenvalue t and is
+    stepped over.
+    """
     size = len(rows)
     a = [[rows[i][j] for j in range(i + 1)] for i in range(size)]
     for i in range(size):
         a[i][i] -= t
-    neg = 0
+    neg = zero = 0
     for k in range(size):
         piv = a[k][k]
+        col_k = {i: a[i][k] for i in range(k + 1, size)}
         if piv == 0:
-            raise PrecisionError(f"exact zero pivot in the inertia count at t = {float(t):.6e}; "
-                                 "retry with more bits")
+            if not split_zeros or any(col_k.values()):
+                raise PrecisionError(f"exact zero pivot in the inertia count at t = {float(t):.6e}; "
+                                     "retry with more bits")
+            zero += 1
+            continue
         if piv < 0:
             neg += 1
         inv = 1 / piv
-        col_k = {i: a[i][k] for i in range(k + 1, size)}
         for i in range(k + 1, size):
             f = col_k[i] * inv
             if f == 0:
@@ -169,7 +177,16 @@ def _count_eigs_below(rows: list[list[Fraction]], t: Fraction) -> int:
             row_i = a[i]
             for j in range(k + 1, i + 1):
                 row_i[j] -= f * col_k[j]
-    return neg
+    return neg, zero
+
+
+def _singular_psd(rows: list[list[Fraction]]) -> bool:
+    """True when an exact count at t = 0 finds no negative and at least one zero eigenvalue."""
+    try:
+        neg, zero = _inertia(rows, Fraction(0), split_zeros=True)
+    except PrecisionError:
+        return False
+    return neg == 0 and zero > 0
 
 
 def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = None) -> HankelSpectrum:
@@ -179,8 +196,11 @@ def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = Non
     The entries are converted to exact rationals (floats exactly), and two exact
     inertia counts at dyadic points t_lo < value < t_hi prove that no eigenvalue
     lies below t_lo and at least one lies below t_hi, with relative width
-    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  If either count
-    fails, PrecisionError asks for more bits; nothing uncertified is returned.
+    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  A relative width
+    cannot bracket an exact 0, so when either count fails a third exact count
+    at t = 0 certifies a singular positive semidefinite matrix, whose value is
+    0.  Otherwise PrecisionError asks for more bits; nothing uncertified is
+    returned.
     """
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
@@ -203,8 +223,6 @@ def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = Non
                     raise ValueError("matrix is not symmetric")
     rows = [[_fraction(x) for x in row] for row in raw_rows]
     order = order if order is not None else size - 1
-    if not any(x for row in rows for x in row):
-        return HankelSpectrum(order, mpmath.mpf(0), precision_bits, True)
     with mpmath.workprec(precision_bits):
         M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
         lam = min(mpmath.eigsy(M, eigvals_only=True))
@@ -212,11 +230,16 @@ def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = Non
     with mpmath.workprec(quarter + 8):  # short dyadic endpoints keep Fraction growth small
         w = mpmath.ldexp(abs(lam), -(quarter + 1))
         t_lo, t_hi = _dyadic(lam - w), _dyadic(lam + w)
-    if _count_eigs_below(rows, t_lo) != 0 or _count_eigs_below(rows, t_hi) < 1:
-        raise PrecisionError(
-            f"eigenvalue hint {mpmath.nstr(lam, 8)} is not certified within relative width "
-            f"2^-{quarter} at {precision_bits} bits; retry with more bits"
-        )
+    try:
+        if _inertia(rows, t_lo)[0] != 0 or _inertia(rows, t_hi)[0] < 1:
+            raise PrecisionError(
+                f"eigenvalue hint {mpmath.nstr(lam, 8)} is not certified within relative width "
+                f"2^-{quarter} at {precision_bits} bits; retry with more bits"
+            )
+    except PrecisionError:
+        if not _singular_psd(rows):
+            raise
+        lam = mpmath.mpf(0)
     return HankelSpectrum(n=order, Lambda=lam, precision_bits=precision_bits, certified=True)
 
 

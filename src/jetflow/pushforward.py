@@ -1,9 +1,10 @@
 """Finite push-forward matrices: regression estimate and jet-space oracle.
 
 The estimate is the leftmost block of V* (U*)^+ built from feature matrices at
-sample pairs (z, f(z)).  The oracle computes the same matrix exactly from jets
-of f at the base point, by pairing derivative functionals against the target
-features composed with f.
+sample pairs (z, f(z)), solved from the triangular factor of [U | V], which is
+accumulated one block of rows at a time.  The oracle computes the same matrix
+exactly from jets of f at the base point, by pairing derivative functionals
+against the target features composed with f.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
 from .fock import SampleSet, feature_matrix_U, feature_matrix_V
@@ -27,23 +29,36 @@ def default_rcond(N: int, r_n: int) -> float:
     return 1e-12 * max(N, r_n)
 
 
-def rank_checked_svd(M: np.ndarray, name: str, rcond: float | None = None):
-    """Thin SVD (A, s, Bh, rcond) of an N x r least-squares matrix of full column rank.
+# Rows of [U | V] built and folded into the triangular factor at a time: the
+# estimator holds one block and the factor, never all N rows
+_BLOCK_ROWS = 16384
 
-    Warns when N < r and raises EstimatorIllPosedError unless all r singular
-    values exceed rcond * s[0] (rcond defaults to default_rcond(N, r)).
+
+def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
+    """Least-squares solution (X, s, rcond) of L X = R for an N x r matrix L of full column rank.
+
+    `blocks` yields row blocks of [L | R].  Each one is folded into the
+    triangular factor of [L | R] by R-only Householder QR (sequential TSQR):
+    [L | R] = Q [[T, T_R], [0, *]], so X = L^+ R = T^-1 T_R, and the singular
+    values s of the r x r block T are those of L.  Warns when N < r and raises
+    EstimatorIllPosedError unless all r singular values exceed rcond * s[0]
+    (rcond defaults to default_rcond(N, r)).
     """
-    N, r = M.shape
+    N, R = 0, None
+    for block in blocks:
+        N += block.shape[0]
+        R = np.linalg.qr(block if R is None else np.vstack([R, block]), mode="r")
     if N < r:
         warnings.warn(f"only {N} samples for the {r} columns of the {name}; "
                       "the fit is underdetermined", stacklevel=3)
     if rcond is None:
         rcond = default_rcond(N, r)
-    A, s, Bh = np.linalg.svd(M, full_matrices=False)
+    T = R[:r, :r]
+    s = np.linalg.svd(T, compute_uv=False)
     kept = int(np.count_nonzero(s > rcond * s[0]))
     if kept < r:
-        raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s.copy())
-    return A, s, Bh, rcond
+        raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s)
+    return solve_triangular(T, R[:r, r:]), s, rcond
 
 
 @dataclass(frozen=True)
@@ -70,20 +85,25 @@ def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet,
     """Least-squares push-forward estimate from paired samples.
 
     p is the source base point, q = f(p) the target one; m is the block order,
-    n >= m the regression order.
+    n >= m the regression order.  The feature matrices U and V are built and
+    factored _BLOCK_ROWS rows at a time, so memory is O(_BLOCK_ROWS * r_n) for
+    any N; when p, q and all samples are real, every step runs in float64.
     """
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
     q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
     if not 1 <= m <= n:
         raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
     d, r = p.shape[0], q.shape[0]
-    U = feature_matrix_U(p, n, samples.Z)
-    V = feature_matrix_V(q, m, samples.W)
-    A, s, Bh, rcond = rank_checked_svd(U, "feature matrix", rcond)
-    # (U*)^+ = A diag(1/s) B^h, so V* (U*)^+ in three thin products
-    G = (V.conj().T @ A) * (1.0 / s)[None, :] @ Bh
+    Z, W = samples.Z, samples.W
+    if not any(np.any(x.imag) for x in (p, q, Z, W)):
+        p, q, Z, W = p.real, q.real, Z.real, W.real  # real data: the solve runs in float64
+    blocks = (np.hstack([feature_matrix_U(p, n, Z[i:i + _BLOCK_ROWS]),
+                         feature_matrix_V(q, m, W[i:i + _BLOCK_ROWS])])
+              for i in range(0, len(samples), _BLOCK_ROWS))
+    X, s, rcond = rank_checked_lstsq(blocks, jet_dimension(d, n), "feature matrix", rcond)
+    # V* (U*)^+ = (U^+ V)^*, in complex128 whichever arithmetic ran
     return PushforwardEstimate(
-        C_hat=G[:, :jet_dimension(d, m)],
+        C_hat=X[:jet_dimension(d, m)].conj().T.astype(np.complex128),
         m=m,
         n=n,
         d=d,

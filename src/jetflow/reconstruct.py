@@ -12,7 +12,7 @@ import numpy as np
 from .fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
 from .multiindex import graded_numbering, graded_powers, jet_dimension
-from .pushforward import PushforwardEstimate, estimate_pushforward, rank_checked_svd
+from .pushforward import PushforwardEstimate, estimate_pushforward, rank_checked_lstsq
 
 
 def read_off(matrix: np.ndarray, p, q, m: int, Z) -> np.ndarray:
@@ -48,8 +48,11 @@ def truncated_lsq(X, Y, m: int, n: int, rcond: float | None = None) -> np.ndarra
     Y = np.asarray(Y, dtype=np.complex128).ravel()
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} points but {Y.shape[0]} values")
-    A, s, Bh, _ = rank_checked_svd(monomial_design(X, n), "monomial design matrix", rcond)
-    coeff = Bh.conj().T @ ((A.conj().T @ Y) / s)
+    A = monomial_design(X, n)
+    # one real solve for both parts of Y
+    C, _, _ = rank_checked_lstsq([np.column_stack([A, Y.real, Y.imag])], A.shape[1],
+                                 "monomial design matrix", rcond)
+    coeff = C[:, 0] + 1j * C[:, 1]
     return coeff[: jet_dimension(X.shape[1], m)]
 
 

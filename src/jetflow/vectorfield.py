@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 from scipy.linalg import expm
 
 from .errors import BlowupError, QuadratureConvergenceError, SpectrumError
@@ -38,17 +38,15 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     if Z0.shape[1] != V.d:
         raise ValueError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
-    sol = solve_ivp(
-        _field_rhs(V, V.d),
-        (0.0, float(T)),
-        Z0.reshape(-1),
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success or not np.isfinite(sol.y[:, -1]).all():
-        raise BlowupError(f"flow left the resolvable range before t={T}: {sol.message}")
-    return sol.y[:, -1].reshape(Z0.shape)
+    # stepping the solver directly keeps the current state only, not every accepted step
+    solver = RK45(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
+    message = None
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status != "finished" or not np.isfinite(solver.y).all():
+        raise BlowupError(f"flow left the resolvable range before t={T}: "
+                          f"{message or 'non-finite state'}")
+    return solver.y.reshape(Z0.shape)
 
 
 def flow_map(V: MapExpr, T: float, z0, tol: float = 1e-10) -> np.ndarray:

@@ -58,6 +58,19 @@ def test_feature_matrix_matches_basis_u():
             assert U[i, j] == pytest.approx(basis_u(p, alpha, Z[i]))
 
 
+@pytest.mark.parametrize("make", [feature_matrix_U, feature_matrix_V])
+def test_feature_matrix_dtype_follows_input(make):
+    rng = np.random.default_rng(2)
+    p = np.array([0.4, -0.1])
+    Z = rng.uniform(-1, 1, (6, 2))
+    real = make(p, 3, Z)
+    assert real.dtype == np.float64
+    for cp, cZ in ((p + 0j, Z), (p, Z + 0j)):
+        cplx = make(cp, 3, cZ)
+        assert cplx.dtype == np.complex128
+        assert np.allclose(cplx, real, rtol=1e-15, atol=0)
+
+
 def test_feature_matrix_V_mirrors_U():
     rng = np.random.default_rng(1)
     W = rng.uniform(-1, 1, (5, 1)) + 0j

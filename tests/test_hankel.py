@@ -127,6 +127,19 @@ def test_zero_matrix_is_certified_zero():
     assert spec.n == 2
 
 
+@pytest.mark.parametrize("D", [
+    np.array([[1.0, 0.0], [0.0, 0.0]]),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    # point mass at a dyadic point: the float moments are exact, so D is exactly rank one
+    moment_matrix(MeasureSpec.empirical(np.tile([0.5, -0.25], (8, 1))), 2),
+], ids=["diag-1-0", "ones", "point-mass"])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_singular_psd_is_certified_zero(D, bits):
+    spec = smallest_eigenvalue(D, bits)
+    assert spec.Lambda == 0
+    assert spec.certified
+
+
 def test_negative_smallest_eigenvalue():
     spec = smallest_eigenvalue([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]], 64)
     assert float(spec.Lambda) == pytest.approx(-1.0, rel=2.0 ** -16)

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jetflow.errors import EstimatorIllPosedError, NonPositiveDefiniteError
-from jetflow.fock import SampleSet, feature_matrix_U
+from jetflow.fock import SampleSet, feature_matrix_U, feature_matrix_V
 from jetflow.hankel import MeasureSpec, moment_matrix
 from jetflow.maps import compose_maps, eval_map_batch, parse_map
 from jetflow.multiindex import graded_numbering, jet_dimension
 from jetflow.pushforward import (
+    _BLOCK_ROWS,
     estimate_pushforward,
     gamma_check,
     oracle_pushforward,
@@ -205,6 +207,7 @@ def test_estimate_metadata():
     Z0 = np.linspace(-0.5, 0.5, 20)[:, None]
     est = estimate_pushforward([0.0], [0.0], 2, 3, samples_for(f, [0.0], Z0))
     assert est.C_hat.shape == (3, 3)
+    assert est.C_hat.dtype == np.complex128  # real data is solved in float64
     assert est.m == 2 and est.n == 3
     assert est.smallest_kept_sv > est.pinv_rcond * est.largest_sv
 
@@ -221,3 +224,44 @@ def test_oracle_accepts_complex_dtype_with_zero_imaginary_part():
     cplx = oracle_pushforward(f, np.array([0.5 + 0j, -0.2 + 0j]), 3)
     assert np.array_equal(real.C, cplx.C)
     assert np.array_equal(real.jacobian, cplx.jacobian)
+
+
+def test_blocked_estimate_matches_dense_lstsq():
+    # three row blocks, the last of 3 rows
+    rng = np.random.default_rng(4)
+    f = random_poly_map(rng, 2)
+    p = np.array([0.1, -0.2])
+    q = image_point(f, p)
+    samples = samples_for(f, p, rng.uniform(-0.5, 0.5, (2 * _BLOCK_ROWS + 3, 2)))
+    m, n = 2, 4
+    U = feature_matrix_U(p, n, samples.Z)
+    V = feature_matrix_V(q, m, samples.W)
+    X = np.linalg.lstsq(U, V, rcond=None)[0]
+    ref = X.conj().T[:, :jet_dimension(2, m)]
+    est = estimate_pushforward(p, q, m, n, samples)
+    assert np.linalg.norm(est.C_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_complex_sample_points_match_oracle():
+    # a polynomial map of degree 2 is fitted exactly once n >= 2m, at complex points too
+    rng = np.random.default_rng(6)
+    f = random_poly_map(rng, 2)
+    Z = rng.uniform(-0.5, 0.5, (400, 2)) + 0.3j * rng.uniform(-0.5, 0.5, (400, 2))
+    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    est = estimate_pushforward([0.0, 0.0], [0.0, 0.0], 2, 4, samples)
+    o = oracle_pushforward(f, np.array([0.0, 0.0]), 2)
+    assert np.abs(est.C_hat - o.C).max() < 1e-10
+
+
+def test_estimate_memory_is_blocked():
+    # the whole N x r_n feature matrix alone would take 200 000 * 28 * 8 B = 45 MB
+    rng = np.random.default_rng(7)
+    f = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
+    samples = samples_for(f, [0.0, 0.0], rng.uniform(-0.4, 0.4, (200_000, 2)))
+    tracemalloc.start()
+    try:
+        estimate_pushforward([0.0, 0.0], [0.0, 0.0], 3, 6, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
