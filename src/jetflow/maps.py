@@ -239,7 +239,7 @@ def eval_map(f: MapExpr, z) -> np.ndarray:
 
 def _eval_batch(node: Node, Z: np.ndarray) -> np.ndarray:
     if isinstance(node, Const):
-        return np.full(Z.shape[0], node.value, dtype=Z.dtype)
+        return Z.dtype.type(node.value)  # a scalar; numpy broadcasts it
     if isinstance(node, Var):
         return Z[:, node.index - 1]
     if isinstance(node, Neg):
@@ -272,7 +272,10 @@ def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
     Z = Z.astype(np.complex128 if np.iscomplexobj(Z) else np.float64, copy=False)
     if Z.ndim != 2 or Z.shape[1] != f.d:
         raise ValueError(f"points have shape {Z.shape}, expected (N, {f.d})")
-    return np.column_stack([_eval_batch(c, Z) for c in f.components])
+    out = np.empty((Z.shape[0], f.r), dtype=Z.dtype)
+    for k, c in enumerate(f.components):
+        out[:, k] = _eval_batch(c, Z)  # a constant component broadcasts
+    return out
 
 
 def _eval_jet(node: Node, env: list[Jet], table) -> Jet:

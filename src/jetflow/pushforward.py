@@ -30,8 +30,10 @@ def default_rcond(N: int, r_n: int) -> float:
 
 
 # Rows of [U | V] built and folded into the triangular factor at a time: the
-# estimator holds one block and the factor, never all N rows
-_BLOCK_ROWS = 16384
+# estimator holds one block and the factor, never all N rows.  Smaller blocks
+# cost no time at r_n ~ 30, and the estimate runs on top of whatever heap the
+# sample draw (a flow, say) left behind
+_BLOCK_ROWS = 4096
 
 
 def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):

@@ -170,3 +170,13 @@ def test_batch_complex_input_matches_numpy_complex_arithmetic():
     out = eval_map_batch(f, Z)
     assert out.dtype == np.complex128
     assert np.array_equal(out[:, 0], ref)
+
+
+def test_batch_constant_components_fill_their_columns():
+    f = parse_map("2; z1 - z2; -exp(0.5)", 2, 3)
+    Z = np.random.default_rng(5).uniform(-0.5, 0.5, (7, 2))
+    for points in (Z, Z.astype(np.complex128)):
+        out = eval_map_batch(f, points)
+        assert out.shape == (7, 3) and out.dtype == points.dtype
+        assert np.all(out[:, 0] == 2) and np.all(out[:, 2] == -np.exp(0.5))
+        assert np.array_equal(out[:, 1], points[:, 0] - points[:, 1])

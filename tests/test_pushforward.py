@@ -264,4 +264,4 @@ def test_estimate_memory_is_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 10e6

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from jetflow import vectorfield
 from jetflow.errors import BlowupError, QuadratureConvergenceError, SpectrumError
 from jetflow.hankel import MeasureSpec
 from jetflow.maps import eval_map_batch, parse_map
@@ -236,9 +237,52 @@ def test_flow_ensemble_matches_complex_rhs():
     def rhs(_t, y):
         return eval_map_batch(V, y.astype(np.complex128)[:, None]).real[:, 0]
 
-    ref = solve_ivp(rhs, (0.0, 0.1), Z[:, 0], method="RK45", rtol=1e-10, atol=1e-10)
+    ref = solve_ivp(rhs, (0.0, 0.1), Z[:, 0], method="DOP853", rtol=1e-10, atol=1e-10)
     W = flow_ensemble(V, 0.1, Z)
     assert np.abs(W[:, 0] - ref.y[:, -1]).max() < 1e-13
+
+
+def test_flow_ensemble_logistic_closed_form_on_a_line():
+    V = parse_map("-z1 + 0.2*z1^2", 1, 1)
+    z0 = np.linspace(-0.4, 0.4, 201)
+    decay = math.exp(-0.1)
+    exact = z0 * decay / (1.0 - 0.2 * z0 * (1.0 - decay))
+    W = flow_ensemble(V, 0.1, z0[:, None])
+    assert np.abs(W[:, 0] - exact).max() < 1e-12
+
+
+def test_flow_ensemble_right_hand_side_count(monkeypatch):
+    # the flow-d2 benchmark field; an order-4(5) pair takes 110 right-hand sides here
+    V = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
+    Z = draw_samples(MeasureSpec.uniform_box([0.0, 0.0], [0.4, 0.4]), 2000, "iid", 3)
+    calls = []
+
+    def counted(f, points):
+        calls.append(points.shape)
+        return eval_map_batch(f, points)
+
+    monkeypatch.setattr(vectorfield, "eval_map_batch", counted)
+    flow_ensemble(V, 0.5, Z, 1e-10)
+    assert all(shape == (2000, 2) for shape in calls)
+    assert len(calls) < 80
+
+
+def test_complex_start_points_rejected():
+    V = parse_map("-z1 + 0.2*z1^2", 1, 1)
+    for call in (lambda: flow_ensemble(V, 0.1, np.array([[0.2 + 0.3j]])),
+                 lambda: flow_map(V, 0.1, [0.2 + 0.3j]),
+                 lambda: flow_sample_set(V, 0.1, np.array([[0.2 + 0.3j]]))):
+        with pytest.raises(ValueError, match="complex start points are not supported"):
+            call()
+
+
+def test_complex_start_points_with_zero_imaginary_part():
+    V = parse_map("-z1 + 0.2*z1^2", 1, 1)
+    real = flow_map(V, 0.1, [0.2])
+    assert np.array_equal(flow_map(V, 0.1, [0.2 + 0j]), real)
+    assert np.array_equal(flow_ensemble(V, 0.1, np.array([[0.2 + 0j]]))[0], real)
+    s = flow_sample_set(V, 0.1, np.array([[0.2 + 0j]]))
+    assert s.Z[0, 0] == 0.2 and np.array_equal(s.W[0].real, real)
 
 
 def test_reconstruct_field_point_and_grid():
