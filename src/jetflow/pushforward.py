@@ -2,7 +2,8 @@
 
 The estimate is the leftmost block of V* (U*)^+ built from feature matrices at
 sample pairs (z, f(z)), solved from the triangular factor of [U | V], which is
-accumulated one block of rows at a time.  The oracle computes the same matrix
+accumulated one block of rows at a time by LAPACK's recursive Householder QR
+(xGEQRT) in panels of 8 columns.  The oracle computes the same matrix
 exactly from jets of f at the base point, by pairing derivative functionals
 against the target features composed with f.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
 from .fock import SampleSet, feature_matrix_U, feature_matrix_V
@@ -35,29 +36,60 @@ def default_rcond(N: int, r_n: int) -> float:
 # sample draw (a flow, say) left behind
 _BLOCK_ROWS = 4096
 
+# Column panel of the xGEQRT fold.  Narrow panels keep every BLAS call small
+# enough for OpenBLAS to run it on the calling thread; a second thread fights
+# for the core where numpy's BLAS thread still spins after a flow.  Estimate on
+# the flow-d2 samples (N = 1e5, 38 columns) right after their flow, 2-core
+# x86_64, 2 BLAS threads, median of 10: panel 8 0.051-0.060 s, panel 4 about
+# the same, panel 16 or 32 0.14 s, xGEQRF (np.linalg.qr) 0.114-0.122 s, and
+# panel 8 with 8 192-row blocks 0.123 s.  With 1 thread: 0.047-0.051 s
+# against 0.077 s for xGEQRF
+_PANEL_COLS = 8
+
+
+def _triangular_factor(blocks, r: int):
+    """(N, R): the row count of the stacked row `blocks` and their R-only QR factor.
+
+    Each block is stacked under the factor so far and refactored by LAPACK's
+    recursive Householder QR, xGEQRT (Elmroth and Gustavson 2000), in panels
+    of _PANEL_COLS columns (sequential TSQR).  R is the min(N, columns) x
+    columns upper triangle, or 0 x r when no block has a row.
+    """
+    N, R = 0, np.empty((0, r))
+    for block in blocks:
+        if len(block) == 0:
+            continue  # xGEQRT takes no empty matrix
+        a = block if N == 0 else np.vstack([R, block])
+        N += len(block)
+        geqrt, = get_lapack_funcs(("geqrt",), (a,))
+        k = min(a.shape)
+        a, _, _ = geqrt(min(_PANEL_COLS, k), a)
+        R = np.triu(a[:k])
+    return N, R
+
 
 def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
     """Least-squares solution (X, s, rcond) of L X = R for an N x r matrix L of full column rank.
 
-    `blocks` yields row blocks of [L | R].  Each one is folded into the
-    triangular factor of [L | R] by R-only Householder QR (sequential TSQR):
-    [L | R] = Q [[T, T_R], [0, *]], so X = L^+ R = T^-1 T_R, and the singular
-    values s of the r x r block T are those of L.  Warns when N < r and raises
-    EstimatorIllPosedError unless all r singular values exceed rcond * s[0]
-    (rcond defaults to default_rcond(N, r)).
+    `blocks` yields row blocks of [L | R], folded by `_triangular_factor`
+    (recursive Householder QR, xGEQRT, in panels of _PANEL_COLS = 8 columns)
+    into [L | R] = Q [[T, T_R], [0, *]], so X = L^+ R = T^-1 T_R, and the
+    singular values s of the r x r block T are those of L.  Warns when N < r;
+    raises EstimatorIllPosedError when the factor is not finite, or unless all
+    r singular values exceed rcond * s[0] (rcond defaults to
+    default_rcond(N, r)), so no rows at all is numerical rank 0.
     """
-    N, R = 0, None
-    for block in blocks:
-        N += block.shape[0]
-        R = np.linalg.qr(block if R is None else np.vstack([R, block]), mode="r")
+    N, R = _triangular_factor(blocks, r)
     if N < r:
         warnings.warn(f"only {N} samples for the {r} columns of the {name}; "
                       "the fit is underdetermined", stacklevel=3)
+    if not np.isfinite(R).all():
+        raise EstimatorIllPosedError(f"{name} has non-finite entries", np.full(r, np.nan))
     if rcond is None:
         rcond = default_rcond(N, r)
     T = R[:r, :r]
     s = np.linalg.svd(T, compute_uv=False)
-    kept = int(np.count_nonzero(s > rcond * s[0]))
+    kept = int(np.count_nonzero(s > rcond * s[:1]))
     if kept < r:
         raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s)
     return solve_triangular(T, R[:r, r:]), s, rcond

@@ -42,3 +42,18 @@ def test_map_reconstruction_two_components(tmp_path):
     assert result["summary"]["sup_error"] < 1e-3
     errs = [float(row["abs_error"]) for row in rows]
     assert np.isclose(max(errs), result["summary"]["sup_error"])
+
+
+def test_pole_on_a_sample_writes_an_error_row(tmp_path):
+    # the grid of 201 points on [-1/2, 1/2] holds z1 = 0.25, where the map has a pole
+    cfg = {
+        "kind": "pushforward-convergence", "d": 1, "r": 1, "map": "0.01/(z1-0.25)",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 3, "n_sweep": [3]},
+        "sampling": {"scheme": "grid", "N_sweep": [201], "support_radii": [0.5], "seed": 1},
+        "output_dir": str(tmp_path),
+    }
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = _rows(run_experiment(cfg))
+    assert [row["status"] for row in rows] == ["error:EstimatorIllPosedError"]

@@ -11,9 +11,11 @@ from jetflow.maps import compose_maps, eval_map_batch, parse_map
 from jetflow.multiindex import graded_numbering, jet_dimension
 from jetflow.pushforward import (
     _BLOCK_ROWS,
+    _triangular_factor,
     estimate_pushforward,
     gamma_check,
     oracle_pushforward,
+    rank_checked_lstsq,
     theorem_rate,
 )
 from jetflow.sampling import draw_samples
@@ -80,6 +82,26 @@ def test_underdetermined_warns_then_ill_posed():
     with pytest.warns(UserWarning, match="underdetermined"):
         with pytest.raises(EstimatorIllPosedError):
             estimate_pushforward([0.0], [0.0], 2, 4, samples_for(f, [0.0], Z0))
+
+
+def test_non_finite_samples_are_ill_posed():
+    f = parse_map("z1", 1, 1)
+    Z = np.linspace(-0.5, 0.5, 20)[:, None]
+    W = eval_map_batch(f, Z)
+    Z_nan, W_inf = Z.copy(), W.copy()
+    Z_nan[4, 0] = np.nan
+    W_inf[7, 0] = np.inf
+    for samples in (SampleSet(Z=Z_nan, W=W, provenance="test"),
+                    SampleSet(Z=Z, W=W_inf, provenance="test")):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(EstimatorIllPosedError, match="non-finite"):
+                estimate_pushforward([0.0], [0.0], 2, 3, samples)
+
+
+def test_no_rows_is_underdetermined():
+    with pytest.warns(UserWarning, match="underdetermined"):
+        with pytest.raises(EstimatorIllPosedError, match="numerical rank 0 < 3"):
+            rank_checked_lstsq([], 3, "x")
 
 
 def test_m_greater_than_n_rejected():
@@ -240,6 +262,41 @@ def test_blocked_estimate_matches_dense_lstsq():
     ref = X.conj().T[:, :jet_dimension(2, m)]
     est = estimate_pushforward(p, q, m, n, samples)
     assert np.linalg.norm(est.C_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_complex_blocked_estimate_matches_dense_lstsq():
+    rng = np.random.default_rng(8)
+    f = random_poly_map(rng, 2)
+    N = 2 * _BLOCK_ROWS + 3
+    Z = rng.uniform(-0.5, 0.5, (N, 2)) + 0.3j * rng.uniform(-0.5, 0.5, (N, 2))
+    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    p, q, m, n = np.zeros(2), np.zeros(2), 2, 4
+    U = feature_matrix_U(p, n, Z)
+    V = feature_matrix_V(q, m, samples.W)
+    ref = np.linalg.lstsq(U, V, rcond=None)[0].conj().T[:, :jet_dimension(2, m)]
+    est = estimate_pushforward(p, q, m, n, samples)
+    assert np.linalg.norm(est.C_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.3])
+def test_factor_wider_than_a_panel(imag):
+    # d = 2, n = 6, m = 3: 28 + 10 = 38 columns, over several panels and blocks
+    rng = np.random.default_rng(9)
+    f = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
+    N = 2 * _BLOCK_ROWS + 3
+    Z = rng.uniform(-0.4, 0.4, (N, 2))
+    if imag:
+        Z = Z + imag * 1j * rng.uniform(-0.4, 0.4, (N, 2))
+    U = feature_matrix_U(np.zeros(2), 6, Z)
+    A = np.hstack([U, feature_matrix_V(np.zeros(2), 3, eval_map_batch(f, Z))])
+    assert A.shape == (N, 38) and A.dtype == (np.complex128 if imag else np.float64)
+    rows, R = _triangular_factor((A[i:i + _BLOCK_ROWS] for i in range(0, N, _BLOCK_ROWS)), 28)
+    assert rows == N and R.shape == (38, 38) and np.array_equal(R, np.triu(R))
+    gram = A.conj().T @ A
+    assert np.abs(R.conj().T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+    s = np.linalg.svd(R[:28, :28], compute_uv=False)
+    s_U = np.linalg.svd(U, compute_uv=False)
+    assert np.abs(s - s_U).max() <= 1e-12 * s_U[0]
 
 
 def test_complex_sample_points_match_oracle():

@@ -209,3 +209,17 @@ def test_monomial_design_graded_columns():
     assert P.dtype == np.float64
     assert np.array_equal(P, [[1, 2, 3, 4, 6, 9], [1, -1, 0.5, 1, -0.5, 0.25]])
     assert np.array_equal(monomial_design([2.0], 3), [[1, 2, 4, 8]])
+
+
+def test_truncated_lsq_no_points_is_underdetermined():
+    with pytest.warns(UserWarning, match="underdetermined"):
+        with pytest.raises(EstimatorIllPosedError, match="numerical rank 0 < 3"):
+            truncated_lsq(np.empty((0, 1)), [], 1, 2)
+
+
+def test_truncated_lsq_non_finite_value():
+    X = np.linspace(-0.5, 0.5, 10)[:, None]
+    Y = X[:, 0] ** 2
+    Y[3] = np.nan
+    with pytest.raises(EstimatorIllPosedError, match="non-finite"):
+        truncated_lsq(X, Y, 1, 2)
