@@ -318,8 +318,9 @@ def _run_pushforward_convergence(cfg: dict) -> tuple[str, list[str], list[list],
     rows: list[list] = []
     errors: list[float] = []
     for n in _n_values(cfg):
-        D_mu = moment_matrix(measure, n)
-        lam = float(smallest_eigenvalue(moment_matrix(measure, n, exact=True), 256).Lambda)
+        exact_rows = moment_matrix(measure, n, exact=True)
+        D_mu = np.array(exact_rows, dtype=np.float64)  # float() of each entry, as exact=False gives
+        lam = float(smallest_eigenvalue(exact_rows, 256).Lambda)
         for N in _N_values(cfg):
             try:
                 Z0 = draw_samples(measure, N, scheme, seed)

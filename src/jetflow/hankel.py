@@ -1,10 +1,12 @@
 """Moment matrices and their smallest eigenvalues at configurable precision.
 
 Moments of product measures are assembled exactly (rational arithmetic on
-request).  A smallest eigenvalue is the mpmath.eigsy value at a requested
-mantissa width b, certified to relative width 2**(-b // 4) by two Sylvester
-inertia counts in exact rational arithmetic, which stay exact far below the
-double-precision underflow of the spectrum.
+request).  A smallest eigenvalue is the minimum over the diagonal blocks that
+the exact zero pattern of the matrix splits it into (the parity classes of a
+measure symmetric about its centre).  Each block's value is its mpmath.eigsy
+value at a requested mantissa width b, certified to relative width
+2**(-b // 4) by two Sylvester inertia counts in exact rational arithmetic,
+which stay exact far below the double-precision underflow of the spectrum.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def lebesgue_hankel(a: float, r: float, n: int) -> list[list[Fraction]]:
     """Exact (n+1)x(n+1) Hankel matrix of weight-1 moments on [a-r, a+r]."""
     if r <= 0:
         raise ValueError("interval radius must be positive")
-    mom = _interval_moments(Fraction(a), Fraction(r), 2 * n, normalized=False)
+    mom = _interval_moments(_fraction(a), _fraction(r), 2 * n, normalized=False)
     return [[mom[i + j] for j in range(n + 1)] for i in range(n + 1)]
 
 
@@ -136,8 +138,10 @@ class HankelSpectrum:
 
 
 def _fraction(x) -> Fraction:
-    """Exact value of a matrix entry: rationals as they are, floats through float()."""
-    return Fraction(x) if isinstance(x, numbers.Rational) else Fraction(float(x))
+    """Exact value of a matrix entry with plain-int terms: rationals as they are, floats through float()."""
+    if isinstance(x, numbers.Rational):  # np.int64 too, whose Fraction would keep np.int64 terms
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(float(x))
 
 
 def _dyadic(x) -> Fraction:
@@ -189,40 +193,26 @@ def _singular_psd(rows: list[list[Fraction]]) -> bool:
     return neg == 0 and zero > 0
 
 
-def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = None) -> HankelSpectrum:
-    """Certified smallest eigenvalue of a real symmetric matrix.
+def _blocks(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Index sets, each ascending, of the connected components of the exact nonzero pattern of rows."""
+    unseen = set(range(len(rows)))
+    blocks = []
+    while unseen:
+        first = min(unseen)
+        unseen.remove(first)
+        block, stack = [], [first]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            linked = [j for j in unseen if rows[i][j]]
+            unseen.difference_update(linked)
+            stack.extend(linked)
+        blocks.append(sorted(block))
+    return blocks
 
-    The value is the smallest eigenvalue from mpmath.eigsy at `precision_bits`.
-    The entries are converted to exact rationals (floats exactly), and two exact
-    inertia counts at dyadic points t_lo < value < t_hi prove that no eigenvalue
-    lies below t_lo and at least one lies below t_hi, with relative width
-    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  A relative width
-    cannot bracket an exact 0, so when either count fails a third exact count
-    at t = 0 certifies a singular positive semidefinite matrix, whose value is
-    0.  Otherwise PrecisionError asks for more bits; nothing uncertified is
-    returned.
-    """
-    if precision_bits < 16:
-        raise ValueError("precision_bits must be at least 16")
-    if isinstance(D, np.ndarray):
-        if D.ndim != 2 or D.shape[0] != D.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {D.shape}")
-        if not np.allclose(D, D.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.abs(D).max()))):
-            raise ValueError("matrix is not symmetric")
-        D = (D + D.T) / 2
-        size = D.shape[0]
-        raw_rows = [[D[i, j] for j in range(size)] for i in range(size)]
-    else:
-        raw_rows = [list(row) for row in D]
-        size = len(raw_rows)
-        if any(len(row) != size for row in raw_rows):
-            raise ValueError("expected a square matrix")
-        for i in range(size):
-            for j in range(i):
-                if raw_rows[i][j] != raw_rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
-    rows = [[_fraction(x) for x in row] for row in raw_rows]
-    order = order if order is not None else size - 1
+
+def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
+    """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue."""
     with mpmath.workprec(precision_bits):
         M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
         lam = min(mpmath.eigsy(M, eigvals_only=True))
@@ -240,6 +230,53 @@ def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = Non
         if not _singular_psd(rows):
             raise
         lam = mpmath.mpf(0)
+    return lam
+
+
+def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = None) -> HankelSpectrum:
+    """Certified smallest eigenvalue of a real symmetric matrix.
+
+    The entries are converted to exact rationals (floats exactly), and the
+    indices are split into the connected components of the exact nonzero
+    pattern: up to a permutation D is block-diagonal over them (2**d parity
+    blocks for a box centred at 0, one block for a dense matrix), so its
+    smallest eigenvalue is the minimum over the blocks.  Each block's value is
+    its smallest eigenvalue from mpmath.eigsy at `precision_bits`, and two
+    exact inertia counts of the block at dyadic points t_lo < value < t_hi
+    prove that no eigenvalue lies below t_lo and at least one lies below t_hi,
+    with relative width (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).
+    A relative width cannot bracket an exact 0, so when either count fails a
+    third exact count at t = 0 certifies a singular positive semidefinite
+    block, whose value is 0.  Otherwise PrecisionError asks for more bits;
+    every block is certified, and nothing uncertified is returned.
+    """
+    if precision_bits < 16:
+        raise ValueError("precision_bits must be at least 16")
+    if isinstance(D, np.ndarray):
+        if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {D.shape}")
+        if not np.isfinite(D).all():
+            raise ValueError("matrix has non-finite entries")
+        if not np.allclose(D, D.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.abs(D).max()))):
+            raise ValueError("matrix is not symmetric")
+        D = (D + D.T) / 2
+        size = D.shape[0]
+        raw_rows = [[D[i, j] for j in range(size)] for i in range(size)]
+    else:
+        raw_rows = [list(row) for row in D]
+        size = len(raw_rows)
+        if size == 0 or any(len(row) != size for row in raw_rows):
+            raise ValueError("expected a nonempty square matrix")
+        if not all(isinstance(x, numbers.Rational) or math.isfinite(x) for row in raw_rows for x in row):
+            raise ValueError("matrix has non-finite entries")
+        for i in range(size):
+            for j in range(i):
+                if raw_rows[i][j] != raw_rows[j][i]:
+                    raise ValueError("matrix is not symmetric")
+    rows = [[_fraction(x) for x in row] for row in raw_rows]
+    order = order if order is not None else size - 1
+    lam = min(_certified_smallest([[rows[i][j] for j in block] for i in block], precision_bits)
+              for block in _blocks(rows))
     return HankelSpectrum(n=order, Lambda=lam, precision_bits=precision_bits, certified=True)
 
 

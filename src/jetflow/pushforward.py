@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
 from .fock import SampleSet, feature_matrix_U, feature_matrix_V
@@ -55,6 +54,9 @@ def _triangular_factor(blocks, r: int):
     of _PANEL_COLS columns (sequential TSQR).  R is the min(N, columns) x
     columns upper triangle, or 0 x r when no block has a row.
     """
+    # scipy.linalg loads here, not at import: `import jetflow` stays light for runs that never estimate
+    from scipy.linalg import get_lapack_funcs
+
     N, R = 0, np.empty((0, r))
     for block in blocks:
         if len(block) == 0:
@@ -92,6 +94,8 @@ def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
     kept = int(np.count_nonzero(s > rcond * s[:1]))
     if kept < r:
         raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s)
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(T, R[:r, r:]), s, rcond
 
 

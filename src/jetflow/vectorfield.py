@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.linalg import expm
 
 from .errors import BlowupError, QuadratureConvergenceError, SpectrumError
 from .fock import SampleSet, basis_gradient_at_zero  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -49,6 +47,9 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     Z0 = np.atleast_2d(_real_points(Z0))
     if Z0.shape[1] != V.d:
         raise ValueError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
+    # scipy's submodules load here, not at import: `import jetflow` stays light for runs that never flow
+    from scipy.integrate import DOP853
+
     # stepping the solver directly keeps the current state only, not every accepted step
     solver = DOP853(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
     message = None
@@ -154,6 +155,8 @@ def estimate_generator(estimate: PushforwardEstimate, T: float,
     C = estimate.C_hat
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"push-forward block must be square, got {C.shape}")
+    from scipy.linalg import expm
+
     L = matrix_log(C, quad_tol=quad_tol)
     residual = float(np.linalg.norm(expm(L) - C))
     return GeneratorEstimate(A_hat=L / T, T=float(T), log_residual=residual)

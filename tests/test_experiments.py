@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import jetflow
 from jetflow.experiments import run_experiment
 
 
@@ -57,3 +62,16 @@ def test_pole_on_a_sample_writes_an_error_row(tmp_path):
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = _rows(run_experiment(cfg))
     assert [row["status"] for row in rows] == ["error:EstimatorIllPosedError"]
+
+
+def test_import_and_validate_leave_scipy_submodules_unloaded():
+    code = ("import sys, jetflow\n"
+            "from jetflow.experiments import KINDS, demo_config, validate_config\n"
+            "for kind in KINDS:\n"
+            "    assert not validate_config(demo_config(kind))\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))\n")
+    src = str(Path(jetflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

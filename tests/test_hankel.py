@@ -8,6 +8,7 @@ import pytest
 from jetflow.errors import PrecisionError
 from jetflow.hankel import (
     MeasureSpec,
+    _blocks,
     decay_rate_check,
     hankel_spectrum_sweep,
     lebesgue_hankel,
@@ -146,11 +147,116 @@ def test_negative_smallest_eigenvalue():
     assert spec.certified
 
 
-def test_exact_zero_pivot_raises():
-    # at 64 bits the upper end is t_hi = 1 + 2^-17, so D - t_hi I has first pivot 0
-    D = [[1 + Fraction(1, 2 ** 17), Fraction(0)], [Fraction(0), Fraction(1)]]
+def test_exact_zero_pivot_raises(monkeypatch):
+    # with the hint 1 at 64 bits the upper end is t_hi = 1 + 2^-17, so D - t_hi I has first pivot 0
+    monkeypatch.setattr(mpmath, "eigsy", lambda A, eigvals_only=False: [mpmath.mpf(1)])
+    D = [[1 + Fraction(1, 2 ** 17), Fraction(1, 2 ** 20)], [Fraction(1, 2 ** 20), Fraction(2)]]
     with pytest.raises(PrecisionError, match="zero pivot"):
         smallest_eigenvalue(D, 64)
+
+
+def test_diagonal_splits_into_certified_one_by_one_blocks():
+    D = [[1 + Fraction(1, 2 ** 17), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert _blocks(D) == [[0], [1]]
+    spec = smallest_eigenvalue(D, 64)
+    assert spec.Lambda == 1
+    assert spec.certified
+
+
+def whole_eigsy_min(rows, bits=256):
+    with mpmath.workprec(bits):
+        M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
+        return min(mpmath.eigsy(M, eigvals_only=True))
+
+
+def test_dense_matrix_is_one_block():
+    rows = moment_matrix(MeasureSpec.uniform_box([0.1], [0.5]), 5, exact=True)
+    assert _blocks(rows) == [list(range(6))]
+    assert smallest_eigenvalue(rows, 256).Lambda == whole_eigsy_min(rows)
+
+
+def test_permuted_block_diagonal_matches_whole_matrix():
+    rng = np.random.default_rng(11)
+    sizes = [3, 4, 2, 1]
+    size = sum(sizes)
+    block_diag = [[Fraction(0)] * size for _ in range(size)]
+    start = 0
+    for k in sizes:
+        B = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(k)]
+             for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                block_diag[start + i][start + j] = (sum(B[i][t] * B[j][t] for t in range(k))
+                                                    + Fraction(1, 1000) * (i == j))
+        start += k
+    perm = rng.permutation(size)
+    rows = [[block_diag[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
+    assert sorted(len(b) for b in _blocks(rows)) == sorted(sizes)
+    spec = smallest_eigenvalue(rows, 256)
+    assert spec.certified
+    whole = whole_eigsy_min(rows)
+    with mpmath.workprec(256):
+        assert abs(spec.Lambda - whole) <= mpmath.mpf(10) ** -60 * abs(whole)
+
+
+def test_centred_box_splits_into_parity_blocks():
+    rows = moment_matrix(MeasureSpec.uniform_box([0.0, 0.0], [0.5, 0.5]), 4, exact=True)
+    entries = graded_numbering(2, 4).entries
+    blocks = _blocks(rows)
+    assert len(blocks) == 4
+    parities = [{(entries[i][0] % 2, entries[i][1] % 2) for i in block} for block in blocks]
+    assert all(len(p) == 1 for p in parities)
+    with mpmath.workprec(256):
+        whole = whole_eigsy_min(rows)
+        assert abs(smallest_eigenvalue(rows, 256).Lambda - whole) <= mpmath.mpf(10) ** -60 * whole
+
+
+def test_negative_eigenvalue_in_one_block_is_certified():
+    # blocks {0, 2}: [[1, 2], [2, 1]] with eigenvalue -1, and {1}: [3]
+    D = [[Fraction(1), Fraction(0), Fraction(2)],
+         [Fraction(0), Fraction(3), Fraction(0)],
+         [Fraction(2), Fraction(0), Fraction(1)]]
+    assert _blocks(D) == [[0, 2], [1]]
+    spec = smallest_eigenvalue(D, 64)
+    assert float(spec.Lambda) == pytest.approx(-1.0, rel=2.0 ** -16)
+    assert spec.certified
+
+
+def test_singular_psd_block_next_to_positive_definite_block_is_certified_zero():
+    # blocks {0, 2}: [[1, 1], [1, 1]], singular PSD, and {1}: [2]
+    D = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1.0]])
+    spec = smallest_eigenvalue(D, 128)
+    assert spec.Lambda == 0
+    assert spec.certified
+
+
+@pytest.mark.parametrize("D", [[], np.zeros((0, 0)), np.zeros((2, 3)), [[1.0, 0.0], [0.0]]],
+                         ids=["empty-list", "empty-array", "2x3", "ragged"])
+def test_empty_or_non_square_matrix_rejected(D):
+    with pytest.raises(ValueError, match="expected a nonempty square matrix"):
+        smallest_eigenvalue(D, 64)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+def test_non_finite_entry_rejected(bad, as_array):
+    D = [[1.0, bad], [bad, 1.0]]
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        smallest_eigenvalue(np.array(D) if as_array else D, 64)
+
+
+def test_numpy_integer_inputs_are_exact():
+    rows = lebesgue_hankel(np.int64(0), np.int64(1), 3)
+    assert all(type(x.numerator) is int and type(x.denominator) is int for row in rows for x in row)
+    assert rows == lebesgue_hankel(0.0, 1.0, 3)
+    # 5^41 overflows int64, so np.int64 arithmetic on [1, 5] would wrap around
+    assert lebesgue_hankel(np.int64(3), np.int64(2), 20) == lebesgue_hankel(3.0, 2.0, 20)
+    spec = smallest_eigenvalue(lebesgue_hankel(np.int64(0), np.int64(1), 3), 256)
+    assert spec.Lambda == smallest_eigenvalue(lebesgue_hankel(0.0, 1.0, 3), 256).Lambda
+    assert rectangle_lower_bound([0, 0], [1, 1], 4) == rectangle_lower_bound([0.0, 0.0], [1.0, 1.0], 4)
+    D = np.array([[2, 1], [1, 2]], dtype=np.int64)
+    assert float(smallest_eigenvalue(D, 64).Lambda) == pytest.approx(1.0, rel=2.0 ** -16)
+    assert smallest_eigenvalue([[np.int64(2), np.int64(1)], [np.int64(1), np.int64(2)]], 64).certified
 
 
 def test_asymmetric_input_rejected():
