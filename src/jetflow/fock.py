@@ -77,6 +77,17 @@ def _as_point(x, d: Optional[int] = None, dtype=np.complex128) -> np.ndarray:
     return v
 
 
+def _real_points(x, what: str) -> np.ndarray:
+    """x in float64: a zero imaginary part is dropped, a nonzero one raises ValueError."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if np.any(x.imag != 0):
+            raise ValueError(f"complex {what} are not supported, got imaginary "
+                             f"parts up to {np.abs(x.imag).max():.3g}")
+        x = x.real
+    return x.astype(np.float64, copy=False)
+
+
 def _as_alpha(alpha, d: int) -> tuple[int, ...]:
     if np.isscalar(alpha):
         alpha = (int(alpha),)

@@ -252,7 +252,8 @@ def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = Non
     """
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
-    if isinstance(D, np.ndarray):
+    # an object array (of Fractions, say) takes the exact nested-list path
+    if isinstance(D, np.ndarray) and D.dtype != object:
         if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {D.shape}")
         if not np.isfinite(D).all():

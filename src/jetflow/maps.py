@@ -3,69 +3,84 @@
 The expression grammar covers polynomial arithmetic in variables z1..zd plus
 exp/sin/cos, integer powers via '^', and components separated by ';'.  A
 leading '+' or '-' on an expression is accepted as a convenience extension.
+
+One tree walk, `_evaluate`, serves every arithmetic with + - * / ** and unary
+minus: numpy columns (`eval_map_batch`), jets (`jet_of_map`) and expression
+nodes themselves (`compose_maps`).  `_eval_scalar` walks the tree on its own in
+complex scalars, as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
 
 import numpy as np
 
 from .errors import MapSyntaxError
-from .jets import (
-    Jet,
-    constant_jet,
-    jet_cos,
-    jet_div,
-    jet_exp,
-    jet_int_pow,
-    jet_mul,
-    jet_sin,
-    variable_jet,
-)
+from .jets import Jet, constant_jet, jet_cos, jet_exp, jet_sin, variable_jet
 from .multiindex import graded_numbering
 
 _FUNCTIONS = ("exp", "sin", "cos")
 
 
+class Node:
+    """An expression node; its operators build new nodes, so maps compose by evaluation."""
+
+    def __add__(self, other: Node) -> Node:
+        return Bin("+", self, other)
+
+    def __sub__(self, other: Node) -> Node:
+        return Bin("-", self, other)
+
+    def __mul__(self, other: Node) -> Node:
+        return Bin("*", self, other)
+
+    def __truediv__(self, other: Node) -> Node:
+        return Bin("/", self, other)
+
+    def __pow__(self, exponent: int) -> Node:
+        return Pow(self, exponent)
+
+    def __neg__(self) -> Node:
+        return Neg(self)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(Node):
     index: int  # 1-based
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(Node):
     op: str  # '+', '-', '*', '/'
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
-class Pow:
-    base: "Node"
+class Pow(Node):
+    base: Node
     exponent: int
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(Node):
     name: str
-    arg: "Node"
+    arg: Node
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-Node = Union[Const, Var, Bin, Pow, Call, Neg]
+class Neg(Node):
+    operand: Node
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,36 @@ def parse_map(source: str, d: int, r: int) -> MapExpr:
     return MapExpr(d=d, r=r, components=tuple(components), source=source)
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_NUMPY_FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+_JET_FUNCTIONS = {"exp": jet_exp, "sin": jet_sin, "cos": jet_cos}
+_NODE_FUNCTIONS = {name: partial(Call, name) for name in _FUNCTIONS}
+
+
+def _evaluate(node: Node, variables, constant, functions):
+    """Value of node in any arithmetic with + - * / ** and unary minus.
+
+    variables[k] stands for z_{k+1}, constant(c) lifts the literal c, and
+    functions maps each of exp, sin and cos to its version in that arithmetic.
+    """
+    if isinstance(node, Const):
+        return constant(node.value)
+    if isinstance(node, Var):
+        return variables[node.index - 1]
+    # no recursive closure: it would be a reference cycle that keeps the
+    # variables (whole sample arrays) alive until the cyclic collector runs
+    args = (variables, constant, functions)
+    if isinstance(node, Neg):
+        return -_evaluate(node.operand, *args)
+    if isinstance(node, Bin):
+        return _BINARY[node.op](_evaluate(node.left, *args), _evaluate(node.right, *args))
+    if isinstance(node, Pow):
+        return _evaluate(node.base, *args) ** node.exponent
+    if isinstance(node, Call):
+        return functions[node.name](_evaluate(node.arg, *args))
+    raise TypeError(f"unknown node {node!r}")
+
+
 def _eval_scalar(node: Node, z: np.ndarray) -> complex:
     if isinstance(node, Const):
         return complex(node.value)
@@ -237,31 +282,6 @@ def eval_map(f: MapExpr, z) -> np.ndarray:
     return np.array([_eval_scalar(c, z) for c in f.components], dtype=np.complex128)
 
 
-def _eval_batch(node: Node, Z: np.ndarray) -> np.ndarray:
-    if isinstance(node, Const):
-        return Z.dtype.type(node.value)  # a scalar; numpy broadcasts it
-    if isinstance(node, Var):
-        return Z[:, node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_batch(node.operand, Z)
-    if isinstance(node, Bin):
-        a = _eval_batch(node.left, Z)
-        b = _eval_batch(node.right, Z)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a / b
-    if isinstance(node, Pow):
-        return _eval_batch(node.base, Z) ** node.exponent
-    if isinstance(node, Call):
-        return {"exp": np.exp, "sin": np.sin, "cos": np.cos}[node.name](_eval_batch(node.arg, Z))
-    raise TypeError(f"unknown node {node!r}")
-
-
 def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
     """Evaluate f at N points at once; returns an (N, r) array.
 
@@ -273,34 +293,12 @@ def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != f.d:
         raise ValueError(f"points have shape {Z.shape}, expected (N, {f.d})")
     out = np.empty((Z.shape[0], f.r), dtype=Z.dtype)
-    for k, c in enumerate(f.components):
-        out[:, k] = _eval_batch(c, Z)  # a constant component broadcasts
+    # a pole or an inf - inf gives a non-finite value, which the caller checks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, c in enumerate(f.components):
+            # a Const is a scalar that numpy broadcasts, also to a whole component
+            out[:, k] = _evaluate(c, Z.T, Z.dtype.type, _NUMPY_FUNCTIONS)
     return out
-
-
-def _eval_jet(node: Node, env: list[Jet], table) -> Jet:
-    if isinstance(node, Const):
-        return constant_jet(table, node.value)
-    if isinstance(node, Var):
-        return env[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_jet(node.operand, env, table)
-    if isinstance(node, Bin):
-        a = _eval_jet(node.left, env, table)
-        b = _eval_jet(node.right, env, table)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return jet_mul(a, b)
-        return jet_div(a, b)
-    if isinstance(node, Pow):
-        return jet_int_pow(_eval_jet(node.base, env, table), node.exponent)
-    if isinstance(node, Call):
-        arg = _eval_jet(node.arg, env, table)
-        return {"exp": jet_exp, "sin": jet_sin, "cos": jet_cos}[node.name](arg)
-    raise TypeError(f"unknown node {node!r}")
 
 
 def jet_of_map(f: MapExpr, p, order: int) -> list[Jet]:
@@ -310,30 +308,16 @@ def jet_of_map(f: MapExpr, p, order: int) -> list[Jet]:
         raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
     table = graded_numbering(f.d, order)
     env = [variable_jet(table, k + 1, base=p[k]) for k in range(f.d)]
-    return [_eval_jet(c, env, table) for c in f.components]
-
-
-def _substitute(node: Node, components: tuple[Node, ...]) -> Node:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        return components[node.index - 1]
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.operand, components))
-    if isinstance(node, Bin):
-        return Bin(node.op, _substitute(node.left, components), _substitute(node.right, components))
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, components), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.name, _substitute(node.arg, components))
-    raise TypeError(f"unknown node {node!r}")
+    constant = partial(constant_jet, table)
+    return [_evaluate(c, env, constant, _JET_FUNCTIONS) for c in f.components]
 
 
 def compose_maps(outer: MapExpr, inner: MapExpr) -> MapExpr:
     """outer after inner, by substituting inner's components for outer's variables."""
     if outer.d != inner.r:
         raise ValueError(f"cannot compose: outer expects {outer.d} inputs, inner yields {inner.r}")
-    components = tuple(_substitute(c, inner.components) for c in outer.components)
+    components = tuple(_evaluate(c, inner.components, Const, _NODE_FUNCTIONS)
+                       for c in outer.components)
     return MapExpr(
         d=inner.d,
         r=outer.r,

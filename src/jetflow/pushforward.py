@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
-from .fock import SampleSet, feature_matrix_U, feature_matrix_V
+from .fock import SampleSet, _real_points, feature_matrix_U, feature_matrix_V
 from .jets import constant_jet, jet_exp, jet_int_pow, jet_mul
 from .maps import MapExpr, jet_of_map
 from .multiindex import graded_numbering, graded_powers, jet_dimension
@@ -70,7 +70,7 @@ def _triangular_factor(blocks, r: int):
     return N, R
 
 
-def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
+def rank_checked_lstsq(blocks, r: int, name: str):
     """Least-squares solution (X, s, rcond) of L X = R for an N x r matrix L of full column rank.
 
     `blocks` yields row blocks of [L | R], folded by `_triangular_factor`
@@ -78,8 +78,8 @@ def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
     into [L | R] = Q [[T, T_R], [0, *]], so X = L^+ R = T^-1 T_R, and the
     singular values s of the r x r block T are those of L.  Warns when N < r;
     raises EstimatorIllPosedError when the factor is not finite, or unless all
-    r singular values exceed rcond * s[0] (rcond defaults to
-    default_rcond(N, r)), so no rows at all is numerical rank 0.
+    r singular values exceed rcond * s[0] with rcond = default_rcond(N, r),
+    so no rows at all is numerical rank 0.
     """
     N, R = _triangular_factor(blocks, r)
     if N < r:
@@ -87,8 +87,7 @@ def rank_checked_lstsq(blocks, r: int, name: str, rcond: float | None = None):
                       "the fit is underdetermined", stacklevel=3)
     if not np.isfinite(R).all():
         raise EstimatorIllPosedError(f"{name} has non-finite entries", np.full(r, np.nan))
-    if rcond is None:
-        rcond = default_rcond(N, r)
+    rcond = default_rcond(N, r)
     T = R[:r, :r]
     s = np.linalg.svd(T, compute_uv=False)
     kept = int(np.count_nonzero(s > rcond * s[:1]))
@@ -118,8 +117,7 @@ class PushforwardEstimate:
             raise ValueError(f"estimate has shape {self.C_hat.shape}, expected {expected}")
 
 
-def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet,
-                         rcond: float | None = None) -> PushforwardEstimate:
+def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardEstimate:
     """Least-squares push-forward estimate from paired samples.
 
     p is the source base point, q = f(p) the target one; m is the block order,
@@ -138,7 +136,7 @@ def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet,
     blocks = (np.hstack([feature_matrix_U(p, n, Z[i:i + _BLOCK_ROWS]),
                          feature_matrix_V(q, m, W[i:i + _BLOCK_ROWS])])
               for i in range(0, len(samples), _BLOCK_ROWS))
-    X, s, rcond = rank_checked_lstsq(blocks, jet_dimension(d, n), "feature matrix", rcond)
+    X, s, rcond = rank_checked_lstsq(blocks, jet_dimension(d, n), "feature matrix")
     # V* (U*)^+ = (U^+ V)^*, in complex128 whichever arithmetic ran
     return PushforwardEstimate(
         C_hat=X[:jet_dimension(d, m)].conj().T.astype(np.complex128),
@@ -164,10 +162,7 @@ def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
     """Exact push-forward block of order m computed from jets of f about p."""
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
-    p = np.atleast_1d(np.asarray(p))
-    if np.any(np.imag(p) != 0):
-        raise ValueError(f"complex base points are not supported yet, got {p}")
-    p = np.real(p).astype(np.float64)
+    p = np.atleast_1d(_real_points(p, "base points"))
     if p.shape != (f.d,):
         raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
     d, r = f.d, f.r

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
+from .fock import SampleSet, _real_points, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
 from .multiindex import graded_numbering, graded_powers, jet_dimension
 from .pushforward import PushforwardEstimate, estimate_pushforward, rank_checked_lstsq
@@ -37,21 +37,21 @@ def reconstruct_eval(estimate: PushforwardEstimate, p, q, m: int, z) -> np.ndarr
 
 def monomial_design(X, n: int) -> np.ndarray:
     """N x r_n matrix of plain monomials x^alpha in graded order."""
-    return graded_powers(np.atleast_2d(np.asarray(X, dtype=np.float64)), n)
+    return graded_powers(np.atleast_2d(_real_points(X, "sample points")), n)
 
 
-def truncated_lsq(X, Y, m: int, n: int, rcond: float | None = None) -> np.ndarray:
+def truncated_lsq(X, Y, m: int, n: int) -> np.ndarray:
     """Degree-n least-squares polynomial fit, truncated to coefficients of degree <= m."""
     if not 1 <= m <= n:
         raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(_real_points(X, "sample points"))
     Y = np.asarray(Y, dtype=np.complex128).ravel()
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} points but {Y.shape[0]} values")
     A = monomial_design(X, n)
     # one real solve for both parts of Y
     C, _, _ = rank_checked_lstsq([np.column_stack([A, Y.real, Y.imag])], A.shape[1],
-                                 "monomial design matrix", rcond)
+                                 "monomial design matrix")
     coeff = C[:, 0] + 1j * C[:, 1]
     return coeff[: jet_dimension(X.shape[1], m)]
 
@@ -65,7 +65,7 @@ def pipeline_and_lsq_coefficients(g: MapExpr, X, m: int, n: int
     """
     if g.r != 1:
         raise ValueError(f"expected a scalar-valued map, got r={g.r}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(_real_points(X, "sample points"))
     d = g.d
     if X.shape[1] != d:
         raise ValueError(f"points have shape {X.shape}, expected (N, {d})")

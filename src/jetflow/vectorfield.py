@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, QuadratureConvergenceError, SpectrumError
-from .fock import SampleSet, basis_gradient_at_zero  # noqa: F401  (perfbench/tracer.py wraps this name)
+# perfbench/tracer.py wraps basis_gradient_at_zero under this module's name
+from .fock import SampleSet, _real_points, basis_gradient_at_zero  # noqa: F401
 from .maps import MapExpr, eval_map, eval_map_batch
 from .pushforward import PushforwardEstimate
 from .reconstruct import read_off
@@ -27,24 +28,13 @@ def _field_rhs(V: MapExpr, d: int):
     return rhs
 
 
-def _real_points(Z) -> np.ndarray:
-    """Start points in float64: a zero imaginary part is dropped, a nonzero one raises."""
-    Z = np.asarray(Z)
-    if np.iscomplexobj(Z):
-        if np.any(Z.imag != 0):
-            raise ValueError("complex start points are not supported, got imaginary "
-                             f"parts up to {np.abs(Z.imag).max():.3g}")
-        Z = Z.real
-    return Z.astype(np.float64, copy=False)
-
-
 def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     """Flow all rows of Z0 forward by time T with the adaptive DOP853 (8(5,3)) step."""
     if V.r != V.d:
         raise ValueError(f"vector field must be square, got d={V.d}, r={V.r}")
     if T <= 0:
         raise ValueError(f"flow time must be positive, got {T}")
-    Z0 = np.atleast_2d(_real_points(Z0))
+    Z0 = np.atleast_2d(_real_points(Z0, "start points"))
     if Z0.shape[1] != V.d:
         raise ValueError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
     # scipy's submodules load here, not at import: `import jetflow` stays light for runs that never flow
@@ -63,14 +53,14 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
 
 def flow_map(V: MapExpr, T: float, z0, tol: float = 1e-10) -> np.ndarray:
     """Flow a single point forward by time T."""
-    z0 = np.atleast_1d(_real_points(z0))
+    z0 = np.atleast_1d(_real_points(z0, "start points"))
     return flow_ensemble(V, T, z0[None, :], tol)[0]
 
 
 def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10,
                     provenance: str = "flow", seed: int | None = None) -> SampleSet:
     """Pair sample points with their time-T flow images."""
-    Z = np.atleast_2d(_real_points(Z))
+    Z = np.atleast_2d(_real_points(Z, "start points"))
     return SampleSet(Z=Z, W=flow_ensemble(V, T, Z, tol), provenance=provenance, seed=seed)
 
 

@@ -176,5 +176,67 @@ def test_validate_config_direct():
     assert ("r", "required positive number") in issues
 
 
+_DROP = object()  # a mutation value that deletes the key
+_PF, _MR, _VF, _HR = ("pushforward-convergence", "map-reconstruction",
+                      "vectorfield-recovery", "hankel-rates")
+
+
+# (kind, key path, new value or _DROP, the one issue validate_config must report or None)
+@pytest.mark.parametrize("kind, path, value, issue", [
+    (_PF, ("output_dir",), 3, ("output_dir", "must be a string")),
+    (_HR, ("a",), "zero", ("a", "required number")),
+    (_HR, ("r",), 0, ("r", "required positive number")),
+    (_HR, ("n_max",), -1, ("n_max", "required integer >= 0")),
+    (_HR, ("precision_bits",), 8, ("precision_bits", "must be an integer >= 16")),
+    (_PF, ("d",), 0, ("d", "required integer >= 1")),
+    (_PF, ("r",), 0, ("r", "required integer >= 1")),
+    (_PF, ("map",), "  ", ("map", "required nonempty expression string")),
+    (_PF, ("base_point",), [0.0, 0.0], ("base_point", "required list of 1 numbers")),
+    (_MR, ("orders",), _DROP, ("orders", "required object with m and n (or n_sweep)")),
+    (_MR, ("orders", "m"), 0, ("orders.m", "required integer >= 1")),
+    (_PF, ("orders", "n_sweep"), _DROP, ("orders", "exactly one of n or n_sweep is required")),
+    (_MR, ("orders", "n"), 5, ("orders.n", "required integer >= m (6)")),
+    (_PF, ("orders", "n_sweep"), [], ("orders.n_sweep", "required nonempty list of integers >= m (3)")),
+    (_MR, ("orders",), {"m": 6, "n_sweep": [8]},
+     ("orders.n_sweep", "only pushforward-convergence runs sweeps")),
+    (_MR, ("sampling",), "halton", ("sampling", "required object")),
+    (_MR, ("sampling", "scheme"), "sobol",
+     ("sampling.scheme", "required one of ('iid', 'grid', 'halton')")),
+    (_MR, ("sampling", "N"), _DROP, ("sampling", "exactly one of N or N_sweep is required")),
+    (_MR, ("sampling", "N"), 0, ("sampling.N", "required integer >= 1")),
+    (_PF, ("sampling",), {"scheme": "halton", "N_sweep": [0], "support_radii": [0.5]},
+     ("sampling.N_sweep", "required nonempty list of integers >= 1")),
+    (_MR, ("sampling",), {"scheme": "halton", "N_sweep": [100], "support_radii": [0.5]},
+     ("sampling.N_sweep", "only pushforward-convergence runs sweeps")),
+    (_MR, ("sampling", "support_radii"), [-0.5],
+     ("sampling.support_radii", "required list of 1 positive numbers")),
+    (_MR, ("sampling", "support_center"), [0.0, 0.0],
+     ("sampling.support_center", "must be a list of 1 numbers")),
+    (_MR, ("sampling", "seed"), 1.5, ("sampling.seed", "must be an integer")),
+    (_MR, ("domain",), [], ("domain", "required object")),
+    (_MR, ("domain", "radii"), [0.0], ("domain.radii", "required list of 1 positive numbers")),
+    (_MR, ("domain",), {"kind": "ball", "radius": -1.0}, ("domain.radius", "required positive number")),
+    (_MR, ("domain",), {"kind": "ball", "radius": 1.0}, None),
+    (_MR, ("domain", "kind"), "disk", ("domain.kind", "required 'box' or 'ball'")),
+    (_MR, ("eval",), _DROP, ("eval", "required object with radii and points_per_axis")),
+    (_MR, ("eval", "radii"), "0.3", ("eval.radii", "required list of 1 positive numbers")),
+    (_MR, ("eval", "points_per_axis"), 0, ("eval.points_per_axis", "required integer >= 1")),
+    (_VF, ("flow",), _DROP, ("flow", "required object with T and tol")),
+    (_VF, ("flow", "T"), 0, ("flow.T", "required positive number")),
+    (_VF, ("flow", "tol"), "small", ("flow.tol", "required positive number")),
+])
+def test_validate_config_reports_each_mutation(kind, path, value, issue):
+    cfg = demo_config(kind)
+    *parents, key = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    if value is _DROP:
+        del section[key]
+    else:
+        section[key] = value
+    assert validate_config(cfg) == ([] if issue is None else [issue])
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2

@@ -259,6 +259,12 @@ def test_numpy_integer_inputs_are_exact():
     assert smallest_eigenvalue([[np.int64(2), np.int64(1)], [np.int64(1), np.int64(2)]], 64).certified
 
 
+def test_object_array_of_fractions_matches_nested_lists():
+    rows = moment_matrix(MeasureSpec.uniform_box([0.1, 0.0], [0.5, 0.5]), 2, exact=True)
+    spec = smallest_eigenvalue(np.array(rows, dtype=object), 128)
+    assert spec.certified and spec.Lambda == smallest_eigenvalue(rows, 128).Lambda
+
+
 def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
         smallest_eigenvalue(np.array([[1.0, 0.5], [0.2, 1.0]]), 128)

@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -147,6 +151,13 @@ def test_compose_maps():
         assert eval_map(gf, [z])[0] == pytest.approx(expect)
 
 
+def test_compose_maps_substitutes_inside_calls():
+    outer = parse_map("exp(z1) - z1/2", 1, 1)
+    inner = parse_map("sin(z1)", 1, 1)
+    expect = parse_map("exp(sin(z1)) - sin(z1)/2", 1, 1)
+    assert compose_maps(outer, inner).components == expect.components
+
+
 # exp, sin, cos, '/' and '^3'; every term stays away from cancellation, so
 # the real and complex paths differ only by their own roundings
 _REAL_MAP = "cos(z1*z2) + sin(z1 + 2)*z1^3/(3 + exp(z2))"
@@ -180,3 +191,26 @@ def test_batch_constant_components_fill_their_columns():
         assert out.shape == (7, 3) and out.dtype == points.dtype
         assert np.all(out[:, 0] == 2) and np.all(out[:, 2] == -np.exp(0.5))
         assert np.array_equal(out[:, 1], points[:, 0] - points[:, 1])
+
+
+def test_batch_pole_is_inf_without_a_warning():
+    f = parse_map("1/z1", 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = eval_map_batch(f, [[0.0], [2.0]])
+    assert out[0, 0] == np.inf and out[1, 0] == 0.5
+
+
+def test_batch_frees_its_points_without_the_cyclic_collector():
+    # a flow evaluates once per right-hand side; points held by a reference
+    # cycle would pile up between collections and raise its peak memory
+    f = parse_map(_REAL_MAP + "; exp(z1)*z2 - z1/2", 2, 2)
+    Z = np.random.default_rng(6).uniform(-0.5, 0.5, (10, 2))
+    points = weakref.ref(Z)
+    gc.disable()
+    try:
+        eval_map_batch(f, Z)
+        del Z
+        assert points() is None
+    finally:
+        gc.enable()

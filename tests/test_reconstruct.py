@@ -223,3 +223,15 @@ def test_truncated_lsq_non_finite_value():
     Y[3] = np.nan
     with pytest.raises(EstimatorIllPosedError, match="non-finite"):
         truncated_lsq(X, Y, 1, 2)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X: monomial_design(X, 2),
+    lambda X: truncated_lsq(X, X[:, 0].real ** 2, 2, 2),
+    lambda X: pipeline_and_lsq_coefficients(parse_map("z1^2", 1, 1), X, 2, 2),
+], ids=["monomial_design", "truncated_lsq", "pipeline_and_lsq_coefficients"])
+def test_complex_points_are_rejected(fit):
+    # a cast to float64 would fit x^2 to the real parts of (1 + 0.5j) x, with a wrong coefficient
+    X = (np.linspace(-0.5, 0.5, 20) * (1 + 0.5j))[:, None]
+    with pytest.raises(ValueError, match="complex sample points are not supported"):
+        fit(X)
