@@ -7,6 +7,7 @@ from .errors import (
     JetflowError,
     MapSyntaxError,
     NonPositiveDefiniteError,
+    PoleError,
     PrecisionError,
     QuadratureConvergenceError,
     SpectrumError,

@@ -50,6 +50,10 @@ class SupportError(JetflowError):
     """Measure support is not contained in the reference body."""
 
 
+class PoleError(JetflowError, ZeroDivisionError):
+    """Division by a quantity that vanishes at the expansion point: the map has a pole there."""
+
+
 class ConfigError(JetflowError):
     """Invalid experiment configuration; carries a list of (path, reason) issues."""
 

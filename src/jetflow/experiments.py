@@ -4,10 +4,12 @@ Configs are JSON documents.  Each run writes one CSV of results (every sweep
 row appears, failed rows carry an error status) plus run_manifest.json echoing
 the config, seed, library versions, and a summary.  CSV bodies are
 deterministic for a fixed config; only the manifest carries a timestamp.
+Each kind has one runner: kind -> _RUNNERS[kind] -> `<kind>.csv`, with "_" for "-".
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import datetime
 import json
@@ -23,7 +25,7 @@ from . import __version__
 from .errors import ConfigError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
 from .hankel import MeasureSpec, hankel_spectrum_sweep, moment_matrix, sigma, smallest_eigenvalue
-from .maps import eval_map_batch, parse_map
+from .maps import MapExpr, eval_map_batch, parse_map
 from .multiindex import graded_numbering
 from .pushforward import estimate_pushforward, gamma_check, oracle_pushforward, theorem_rate
 from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
@@ -36,14 +38,6 @@ from .vectorfield import (
     reconstruct_field,
 )
 
-KINDS = (
-    "pushforward-convergence",
-    "map-reconstruction",
-    "lsq-equivalence",
-    "hankel-rates",
-    "vectorfield-recovery",
-)
-
 OUTPUT_ENV = "JETFLOW_OUTPUT_DIR"
 
 
@@ -53,108 +47,42 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_int(x, lo=-math.inf) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= lo
 
 
-def _num_list(x, length=None) -> bool:
-    if not isinstance(x, list) or not all(_is_num(v) for v in x):
-        return False
-    return length is None or len(x) == length
+def _positive(x) -> bool:
+    return _is_num(x) and not x <= 0  # lets NaN through; a gap CHANGES.md records
 
 
-def _validate_orders(cfg, issues) -> None:
-    orders = cfg.get("orders")
-    if not isinstance(orders, dict):
-        issues.append(("orders", "required object with m and n (or n_sweep)"))
-        return
-    m = orders.get("m")
-    if not _is_int(m) or m < 1:
-        issues.append(("orders.m", "required integer >= 1"))
-        return
-    has_n = "n" in orders
-    has_sweep = "n_sweep" in orders
-    if has_n == has_sweep:
-        issues.append(("orders", "exactly one of n or n_sweep is required"))
-        return
-    if has_n and (not _is_int(orders["n"]) or orders["n"] < m):
-        issues.append(("orders.n", f"required integer >= m ({m})"))
-    if has_sweep:
-        ns = orders["n_sweep"]
-        if not isinstance(ns, list) or not ns or not all(_is_int(v) and v >= m for v in ns):
-            issues.append(("orders.n_sweep", f"required nonempty list of integers >= m ({m})"))
+def _numbers(x, d: int | None, ok=_is_num) -> bool:
+    """A list whose entries pass ok, of length d when d is known."""
+    return isinstance(x, list) and all(ok(v) for v in x) and (d is None or len(x) == d)
 
 
-def _validate_sampling(cfg, issues, d: int | None) -> None:
-    sampling = cfg.get("sampling")
-    if not isinstance(sampling, dict):
-        issues.append(("sampling", "required object"))
-        return
-    if sampling.get("scheme") not in _SCHEMES:
-        issues.append(("sampling.scheme", f"required one of {_SCHEMES}"))
-    has_n = "N" in sampling
-    has_sweep = "N_sweep" in sampling
-    if has_n == has_sweep:
-        issues.append(("sampling", "exactly one of N or N_sweep is required"))
-    elif has_n and (not _is_int(sampling["N"]) or sampling["N"] < 1):
-        issues.append(("sampling.N", "required integer >= 1"))
-    elif has_sweep:
-        ns = sampling["N_sweep"]
-        if not isinstance(ns, list) or not ns or not all(_is_int(v) and v >= 1 for v in ns):
-            issues.append(("sampling.N_sweep", "required nonempty list of integers >= 1"))
-    radii = sampling.get("support_radii")
-    if not _num_list(radii, d) or any(v <= 0 for v in radii or [0]):
-        issues.append(("sampling.support_radii", f"required list of {d} positive numbers"))
-    if "support_center" in sampling and not _num_list(sampling["support_center"], d):
-        issues.append(("sampling.support_center", f"must be a list of {d} numbers"))
-    if "seed" in sampling and sampling["seed"] is not None and not _is_int(sampling["seed"]):
-        issues.append(("sampling.seed", "must be an integer"))
+def _radii(x, d: int | None) -> bool:
+    return _numbers(x, d, _positive) and len(x) > 0
 
 
-def _validate_domain(cfg, issues, d: int | None) -> None:
-    domain = cfg.get("domain")
-    if not isinstance(domain, dict):
-        issues.append(("domain", "required object"))
-        return
-    kind = domain.get("kind")
-    if kind == "box":
-        if not _num_list(domain.get("radii"), d) or any(v <= 0 for v in domain.get("radii") or [0]):
-            issues.append(("domain.radii", f"required list of {d} positive numbers"))
-    elif kind == "ball":
-        if not _is_num(domain.get("radius")) or domain.get("radius", 0) <= 0:
-            issues.append(("domain.radius", "required positive number"))
+def _need(issues: list, path: str, ok, reason: str) -> bool:
+    """Record (path, reason) unless ok; returns whether ok held."""
+    if not ok:
+        issues.append((path, reason))
+    return bool(ok)
+
+
+def _one_size(issues: list, section: str, obj: dict, key: str, lo: int, bound: str) -> None:
+    """Exactly one of obj[key], an integer >= lo, or obj[key_sweep], a nonempty list of them."""
+    sweep = key + "_sweep"
+    if (key in obj) == (sweep in obj):
+        issues.append((section, f"exactly one of {key} or {sweep} is required"))
+    elif key in obj:
+        _need(issues, f"{section}.{key}", _is_int(obj[key], lo), f"required integer >= {bound}")
     else:
-        issues.append(("domain.kind", "required 'box' or 'ball'"))
-
-
-def _validate_eval(cfg, issues, d: int | None) -> None:
-    ev = cfg.get("eval")
-    if not isinstance(ev, dict):
-        issues.append(("eval", "required object with radii and points_per_axis"))
-        return
-    if not _num_list(ev.get("radii"), d) or any(v <= 0 for v in ev.get("radii") or [0]):
-        issues.append(("eval.radii", f"required list of {d} positive numbers"))
-    ppa = ev.get("points_per_axis")
-    if not _is_int(ppa) or ppa < 1:
-        issues.append(("eval.points_per_axis", "required integer >= 1"))
-
-
-def _validate_map(cfg, issues, d: int | None, r: int | None) -> None:
-    src = cfg.get("map")
-    if not isinstance(src, str) or not src.strip():
-        issues.append(("map", "required nonempty expression string"))
-        return
-    if d is None or r is None:
-        return
-    try:
-        parse_map(src, d, r)
-    except MapSyntaxError as exc:
-        issues.append(("map", str(exc)))
-
-
-def _validate_base_point(cfg, issues, d: int | None) -> None:
-    if not _num_list(cfg.get("base_point"), d):
-        issues.append(("base_point", f"required list of {d} numbers"))
+        sizes = obj[sweep]
+        _need(issues, f"{section}.{sweep}",
+              isinstance(sizes, list) and sizes and all(_is_int(v, lo) for v in sizes),
+              f"required nonempty list of integers >= {bound}")
 
 
 def validate_config(cfg: Any) -> list[tuple[str, str]]:
@@ -165,56 +93,84 @@ def validate_config(cfg: Any) -> list[tuple[str, str]]:
     kind = cfg.get("kind")
     if kind not in KINDS:
         return [("kind", f"required one of {KINDS}")]
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        issues.append(("output_dir", "must be a string"))
+    _need(issues, "output_dir", isinstance(cfg.get("output_dir", ""), str), "must be a string")
 
     if kind == "hankel-rates":
-        if not _is_num(cfg.get("a")):
-            issues.append(("a", "required number"))
-        if not _is_num(cfg.get("r")) or cfg.get("r", 0) <= 0:
-            issues.append(("r", "required positive number"))
-        if not _is_int(cfg.get("n_max")) or cfg.get("n_max", -1) < 0:
-            issues.append(("n_max", "required integer >= 0"))
-        bits = cfg.get("precision_bits", 256)
-        if not _is_int(bits) or bits < 16:
-            issues.append(("precision_bits", "must be an integer >= 16"))
+        _need(issues, "a", _is_num(cfg.get("a")), "required number")
+        _need(issues, "r", _positive(cfg.get("r")), "required positive number")
+        _need(issues, "n_max", _is_int(cfg.get("n_max"), 0), "required integer >= 0")
+        _need(issues, "precision_bits", _is_int(cfg.get("precision_bits", 256), 16),
+              "must be an integer >= 16")
         return issues
 
     d = cfg.get("d")
-    if not _is_int(d) or d < 1:
-        issues.append(("d", "required integer >= 1"))
+    if not _need(issues, "d", _is_int(d, 1), "required integer >= 1"):
         d = None
+    list_of = "list of" if d is None else f"list of {d}"
     if kind in ("pushforward-convergence", "map-reconstruction"):
         r = cfg.get("r")
-        if not _is_int(r) or r < 1:
-            issues.append(("r", "required integer >= 1"))
+        if not _need(issues, "r", _is_int(r, 1), "required integer >= 1"):
             r = None
-    elif kind == "vectorfield-recovery":
-        r = d
-    else:  # lsq-equivalence
-        r = 1
+    else:
+        r = d if kind == "vectorfield-recovery" else 1
 
-    _validate_map(cfg, issues, d, r)
-    _validate_sampling(cfg, issues, d)
+    src = cfg.get("map")
+    if (_need(issues, "map", isinstance(src, str) and src.strip(),
+              "required nonempty expression string") and None not in (d, r)):
+        try:
+            parse_map(src, d, r)
+        except MapSyntaxError as exc:
+            issues.append(("map", str(exc)))
+
+    sampling = cfg.get("sampling")
+    if _need(issues, "sampling", isinstance(sampling, dict), "required object"):
+        _need(issues, "sampling.scheme", sampling.get("scheme") in _SCHEMES,
+              f"required one of {_SCHEMES}")
+        _one_size(issues, "sampling", sampling, "N", 1, "1")
+        _need(issues, "sampling.support_radii", _radii(sampling.get("support_radii"), d),
+              f"required {list_of} positive numbers")
+        _need(issues, "sampling.support_center",
+              "support_center" not in sampling or _numbers(sampling["support_center"], d),
+              f"must be a {list_of} numbers")
+        _need(issues, "sampling.seed", sampling.get("seed") is None or _is_int(sampling["seed"]),
+              "must be an integer")
+
     if kind != "lsq-equivalence":
-        _validate_base_point(cfg, issues, d)
-        _validate_domain(cfg, issues, d)
-    _validate_orders(cfg, issues)
+        _need(issues, "base_point", _numbers(cfg.get("base_point"), d), f"required {list_of} numbers")
+        domain = cfg.get("domain")
+        if _need(issues, "domain", isinstance(domain, dict), "required object"):
+            shape = domain.get("kind")
+            if shape == "box":
+                _need(issues, "domain.radii", _radii(domain.get("radii"), d),
+                      f"required {list_of} positive numbers")
+            elif shape == "ball":
+                _need(issues, "domain.radius", _positive(domain.get("radius")),
+                      "required positive number")
+            else:
+                issues.append(("domain.kind", "required 'box' or 'ball'"))
+
+    orders = cfg.get("orders")
+    if (_need(issues, "orders", isinstance(orders, dict),
+              "required object with m and n (or n_sweep)")
+            and _need(issues, "orders.m", _is_int(orders.get("m"), 1), "required integer >= 1")):
+        m = orders["m"]
+        _one_size(issues, "orders", orders, "n", m, f"m ({m})")
     if kind != "pushforward-convergence":
         for section, key in (("orders", "n_sweep"), ("sampling", "N_sweep")):
             if isinstance(cfg.get(section), dict) and key in cfg[section]:
                 issues.append((f"{section}.{key}", "only pushforward-convergence runs sweeps"))
+
     if kind in ("map-reconstruction", "vectorfield-recovery"):
-        _validate_eval(cfg, issues, d)
+        ev = cfg.get("eval")
+        if _need(issues, "eval", isinstance(ev, dict), "required object with radii and points_per_axis"):
+            _need(issues, "eval.radii", _radii(ev.get("radii"), d), f"required {list_of} positive numbers")
+            _need(issues, "eval.points_per_axis", _is_int(ev.get("points_per_axis"), 1),
+                  "required integer >= 1")
     if kind == "vectorfield-recovery":
         flow = cfg.get("flow")
-        if not isinstance(flow, dict):
-            issues.append(("flow", "required object with T and tol"))
-        else:
-            if not _is_num(flow.get("T")) or flow.get("T", 0) <= 0:
-                issues.append(("flow.T", "required positive number"))
-            if not _is_num(flow.get("tol")) or flow.get("tol", 0) <= 0:
-                issues.append(("flow.tol", "required positive number"))
+        if _need(issues, "flow", isinstance(flow, dict), "required object with T and tol"):
+            for key in ("T", "tol"):
+                _need(issues, f"flow.{key}", _positive(flow.get(key)), "required positive number")
     return issues
 
 
@@ -285,27 +241,52 @@ def _domain_spec(cfg: dict) -> DomainSpec:
     return DomainSpec.ball(p, domain["radius"])
 
 
-def _eval_grid(cfg: dict, p: np.ndarray) -> np.ndarray:
+def _sizes(section: dict, key: str) -> list[int]:
+    """The one size section[key], or the list section[key_sweep]."""
+    sweep = key + "_sweep"
+    return list(section[sweep]) if sweep in section else [section[key]]
+
+
+def _map_and_point(cfg: dict, r: int) -> tuple[MapExpr, np.ndarray]:
+    return parse_map(cfg["map"], cfg["d"], r), np.array(cfg["base_point"], dtype=np.float64)
+
+
+def _map_samples(f: MapExpr, Z: np.ndarray, scheme: str, seed: int | None) -> SampleSet:
+    return SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance=scheme, seed=seed)
+
+
+def _grid_table(cfg: dict, p: np.ndarray, values: Callable,
+                columns: tuple[str, ...]) -> tuple[list[str], list[list], float]:
+    """Header, rows and largest error of a table over the eval grid around p.
+
+    values(grid) gives the true and the estimated components, each (points, r).  A
+    row is z1..zd, then per component one column per template of `columns` (e.g.
+    "f{}_hat_re"; the part after the first "_" picks true/true_re/true_im/hat_re/hat_im),
+    then abs_error, the largest component error, and status.
+    """
     ev = cfg["eval"]
-    return _tensor_grid(p, np.array(ev["radii"], dtype=np.float64), ev["points_per_axis"])
-
-
-def _n_values(cfg: dict) -> list[int]:
-    orders = cfg["orders"]
-    return list(orders["n_sweep"]) if "n_sweep" in orders else [orders["n"]]
-
-
-def _N_values(cfg: dict) -> list[int]:
-    sampling = cfg["sampling"]
-    return list(sampling["N_sweep"]) if "N_sweep" in sampling else [sampling["N"]]
+    grid = _tensor_grid(p, np.array(ev["radii"], dtype=np.float64), ev["points_per_axis"])
+    truth, approx = values(grid)
+    errs = np.max(np.abs(approx - truth), axis=1)
+    parts = {"true": truth.real, "true_re": truth.real, "true_im": truth.imag,
+             "hat_re": approx.real, "hat_im": approx.imag}
+    header = [f"z{k + 1}" for k in range(grid.shape[1])]
+    cols = [grid]
+    for i in range(truth.shape[1]):
+        for name in columns:
+            header.append(name.format(i + 1))
+            cols.append(parts[name.split("_", 1)[1]][:, i])
+    rows = [row + ["ok"] for row in np.column_stack([*cols, errs]).tolist()]
+    return header + ["abs_error", "status"], rows, float(errs.max())
 
 
 # ------------------------------------------------------------------ runners
 
-def _run_pushforward_convergence(cfg: dict) -> tuple[str, list[str], list[list], dict]:
-    d, r = cfg["d"], cfg["r"]
-    f = parse_map(cfg["map"], d, r)
-    p = np.array(cfg["base_point"], dtype=np.float64)
+Table = tuple[list[str], list[list], dict]  # CSV header, CSV rows, summary
+
+
+def _run_pushforward_convergence(cfg: dict) -> Table:
+    f, p = _map_and_point(cfg, cfg["r"])
     domain = _domain_spec(cfg)
     measure, scheme, seed = _sampling_pieces(cfg)
     m = cfg["orders"]["m"]
@@ -317,16 +298,14 @@ def _run_pushforward_convergence(cfg: dict) -> tuple[str, list[str], list[list],
               "rate_bound", "smallest_kept_sv", "status"]
     rows: list[list] = []
     errors: list[float] = []
-    for n in _n_values(cfg):
+    for n in _sizes(cfg["orders"], "n"):
         exact_rows = moment_matrix(measure, n, exact=True)
         D_mu = np.array(exact_rows, dtype=np.float64)  # float() of each entry, as exact=False gives
         lam = float(smallest_eigenvalue(exact_rows, 256).Lambda)
-        for N in _N_values(cfg):
+        for N in _sizes(cfg["sampling"], "N"):
             try:
                 Z0 = draw_samples(measure, N, scheme, seed)
-                samples = SampleSet(Z=p + Z0, W=eval_map_batch(f, p + Z0),
-                                    provenance=scheme, seed=seed)
-                est = estimate_pushforward(p, q, m, n, samples)
+                est = estimate_pushforward(p, q, m, n, _map_samples(f, p + Z0, scheme, seed))
                 err = float(np.linalg.norm(oracle.C - est.C_hat))
                 gam = gamma_check(D_mu, moment_matrix(MeasureSpec.empirical(Z0), n))
                 rate = theorem_rate(m, n, R_mu, lam, 1 - gam) if gam < 1 else None
@@ -341,43 +320,24 @@ def _run_pushforward_convergence(cfg: dict) -> tuple[str, list[str], list[list],
         "rows_ok": len(errors),
         "rows_total": len(rows),
     }
-    return "pushforward_convergence.csv", header, rows, summary
+    return header, rows, summary
 
 
-def _run_map_reconstruction(cfg: dict) -> tuple[str, list[str], list[list], dict]:
-    d, r = cfg["d"], cfg["r"]
-    f = parse_map(cfg["map"], d, r)
-    p = np.array(cfg["base_point"], dtype=np.float64)
+def _run_map_reconstruction(cfg: dict) -> Table:
+    f, p = _map_and_point(cfg, cfg["r"])
     measure, scheme, seed = _sampling_pieces(cfg)
     m, n = cfg["orders"]["m"], cfg["orders"]["n"]
     N = cfg["sampling"]["N"]
-    Z0 = draw_samples(measure, N, scheme, seed)
-    Z = p + Z0
-    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance=scheme, seed=seed)
+    samples = _map_samples(f, p + draw_samples(measure, N, scheme, seed), scheme, seed)
     q = eval_map_batch(f, p[None, :])[0]
     est = estimate_pushforward(p, q, m, n, samples)
-
-    grid = _eval_grid(cfg, p)
-    truth = eval_map_batch(f, grid)
-    header = [f"z{k + 1}" for k in range(d)]
-    for i in range(r):
-        header += [f"f{i + 1}_true_re", f"f{i + 1}_true_im",
-                   f"f{i + 1}_hat_re", f"f{i + 1}_hat_im"]
-    header += ["abs_error", "status"]
-    approx = reconstruct_eval(est, p, q, m, grid)
-    errs = np.max(np.abs(approx - truth), axis=1)
-    rows: list[list] = []
-    for z, t, a, err in zip(grid, truth, approx, errs):
-        row: list = list(z)
-        for i in range(r):
-            row += [t[i].real, t[i].imag, a[i].real, a[i].imag]
-        rows.append(row + [err, "ok"])
-    worst = float(errs.max())
-    summary = {"sup_error": worst, "m": m, "n": n, "N": N}
-    return "map_reconstruction.csv", header, rows, summary
+    header, rows, worst = _grid_table(
+        cfg, p, lambda grid: (eval_map_batch(f, grid), reconstruct_eval(est, p, q, m, grid)),
+        ("f{}_true_re", "f{}_true_im", "f{}_hat_re", "f{}_hat_im"))
+    return header, rows, {"sup_error": worst, "m": m, "n": n, "N": N}
 
 
-def _run_lsq_equivalence(cfg: dict) -> tuple[str, list[str], list[list], dict]:
+def _run_lsq_equivalence(cfg: dict) -> Table:
     d = cfg["d"]
     g = parse_map(cfg["map"], d, 1)
     measure, scheme, seed = _sampling_pieces(cfg)
@@ -396,10 +356,10 @@ def _run_lsq_equivalence(cfg: dict) -> tuple[str, list[str], list[list], dict]:
             abs(mono[i] - direct[i]), "ok",
         ])
     summary = {"max_abs_diff": float(np.max(np.abs(mono - direct))), "m": m, "n": n}
-    return "lsq_equivalence.csv", header, rows, summary
+    return header, rows, summary
 
 
-def _run_hankel_rates(cfg: dict) -> tuple[str, list[str], list[list], dict]:
+def _run_hankel_rates(cfg: dict) -> Table:
     a, r = cfg["a"], cfg["r"]
     bits = cfg.get("precision_bits", 256)
     target = math.log(sigma(a, r))
@@ -412,13 +372,11 @@ def _run_hankel_rates(cfg: dict) -> tuple[str, list[str], list[list], dict]:
         gap = rate - target if rate is not None else None
         rows.append([spec.n, lam, rate, target, gap, "ok"])
     summary = {"final_gap": gap, "log_sigma": target, "precision_bits": bits}
-    return "hankel_rates.csv", header, rows, summary
+    return header, rows, summary
 
 
-def _run_vectorfield_recovery(cfg: dict) -> tuple[str, list[str], list[list], dict]:
-    d = cfg["d"]
-    V = parse_map(cfg["map"], d, d)
-    p = np.array(cfg["base_point"], dtype=np.float64)
+def _run_vectorfield_recovery(cfg: dict) -> Table:
+    V, p = _map_and_point(cfg, cfg["d"])
     try:
         check_equilibrium(V, p)
     except ValueError as exc:
@@ -431,38 +389,26 @@ def _run_vectorfield_recovery(cfg: dict) -> tuple[str, list[str], list[list], di
     est = estimate_pushforward(p, p, m, n, samples)
     gen = estimate_generator(est, T)
     pencil_bound = bound_B(est.C_hat)
-
-    grid = _eval_grid(cfg, p)
-    truth = eval_map_batch(V, grid)
-    header = [f"z{k + 1}" for k in range(d)]
-    for i in range(d):
-        header += [f"V{i + 1}_true", f"V{i + 1}_hat_re", f"V{i + 1}_hat_im"]
-    header += ["abs_error", "status"]
-    approx = reconstruct_field(gen, p, m, grid)
-    errs = np.max(np.abs(approx - truth), axis=1)
-    rows: list[list] = []
-    for z, t, a, err in zip(grid, truth, approx, errs):
-        row: list = list(z)
-        for i in range(d):
-            row += [t[i].real, a[i].real, a[i].imag]
-        rows.append(row + [err, "ok"])
-    worst = float(errs.max())
+    header, rows, worst = _grid_table(
+        cfg, p, lambda grid: (eval_map_batch(V, grid), reconstruct_field(gen, p, m, grid)),
+        ("V{}_true", "V{}_hat_re", "V{}_hat_im"))
     summary = {
         "sup_error": worst,
         "log_residual": gen.log_residual,
         "bound_B": pencil_bound,
         "T": T,
     }
-    return "vectorfield_recovery.csv", header, rows, summary
+    return header, rows, summary
 
 
-_RUNNERS: dict[str, Callable[[dict], tuple[str, list[str], list[list], dict]]] = {
+_RUNNERS: dict[str, Callable[[dict], Table]] = {
     "pushforward-convergence": _run_pushforward_convergence,
     "map-reconstruction": _run_map_reconstruction,
     "lsq-equivalence": _run_lsq_equivalence,
     "hankel-rates": _run_hankel_rates,
     "vectorfield-recovery": _run_vectorfield_recovery,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: dict) -> dict:
@@ -472,8 +418,8 @@ def run_experiment(cfg: dict) -> dict:
         raise ConfigError(issues)
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_name, header, rows, summary = _RUNNERS[cfg["kind"]](cfg)
-    csv_path = outdir / csv_name
+    header, rows, summary = _RUNNERS[cfg["kind"]](cfg)
+    csv_path = outdir / (cfg["kind"].replace("-", "_") + ".csv")
     _write_csv(csv_path, header, rows)
     manifest_path = _write_manifest(outdir, cfg, summary)
     return {"csv": str(csv_path), "manifest": str(manifest_path), "summary": summary}
@@ -481,62 +427,53 @@ def run_experiment(cfg: dict) -> dict:
 
 # -------------------------------------------------------------------- demos
 
+_DEMOS = {
+    "pushforward-convergence": {
+        "d": 1,
+        "r": 1,
+        "map": "0.3*z1 + 0.1*z1^2",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 3, "n_sweep": [3, 4, 5, 6, 7, 8]},
+        "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5], "seed": 7},
+    },
+    "map-reconstruction": {
+        "d": 1,
+        "r": 1,
+        "map": "exp(z1) - 1",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 6, "n": 8},
+        "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5], "seed": 7},
+        "eval": {"radii": [0.3], "points_per_axis": 61},
+    },
+    "lsq-equivalence": {
+        "d": 1,
+        "map": "sin(z1)",
+        "orders": {"m": 5, "n": 7},
+        "sampling": {"scheme": "halton", "N": 2000, "support_radii": [0.5], "seed": 7},
+    },
+    "hankel-rates": {
+        "a": 0.0,
+        "r": 1.0,
+        "n_max": 20,
+        "precision_bits": 256,
+    },
+    "vectorfield-recovery": {
+        "d": 1,
+        "map": "-z1 + 0.2*z1^2",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 5, "n": 8},
+        "flow": {"T": 0.1, "tol": 1e-10},
+        "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.4], "seed": 7},
+        "eval": {"radii": [0.3], "points_per_axis": 61},
+    },
+}
+
+
 def demo_config(kind: str) -> dict:
-    """A canned, runnable config for each experiment kind."""
-    if kind == "pushforward-convergence":
-        return {
-            "kind": kind,
-            "d": 1,
-            "r": 1,
-            "map": "0.3*z1 + 0.1*z1^2",
-            "base_point": [0.0],
-            "domain": {"kind": "box", "radii": [1.0]},
-            "orders": {"m": 3, "n_sweep": [3, 4, 5, 6, 7, 8]},
-            "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5], "seed": 7},
-            "output_dir": "jetflow-out",
-        }
-    if kind == "map-reconstruction":
-        return {
-            "kind": kind,
-            "d": 1,
-            "r": 1,
-            "map": "exp(z1) - 1",
-            "base_point": [0.0],
-            "domain": {"kind": "box", "radii": [1.0]},
-            "orders": {"m": 6, "n": 8},
-            "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5], "seed": 7},
-            "eval": {"radii": [0.3], "points_per_axis": 61},
-            "output_dir": "jetflow-out",
-        }
-    if kind == "lsq-equivalence":
-        return {
-            "kind": kind,
-            "d": 1,
-            "map": "sin(z1)",
-            "orders": {"m": 5, "n": 7},
-            "sampling": {"scheme": "halton", "N": 2000, "support_radii": [0.5], "seed": 7},
-            "output_dir": "jetflow-out",
-        }
-    if kind == "hankel-rates":
-        return {
-            "kind": kind,
-            "a": 0.0,
-            "r": 1.0,
-            "n_max": 20,
-            "precision_bits": 256,
-            "output_dir": "jetflow-out",
-        }
-    if kind == "vectorfield-recovery":
-        return {
-            "kind": kind,
-            "d": 1,
-            "map": "-z1 + 0.2*z1^2",
-            "base_point": [0.0],
-            "domain": {"kind": "box", "radii": [1.0]},
-            "orders": {"m": 5, "n": 8},
-            "flow": {"T": 0.1, "tol": 1e-10},
-            "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.4], "seed": 7},
-            "eval": {"radii": [0.3], "points_per_axis": 61},
-            "output_dir": "jetflow-out",
-        }
-    raise ValueError(f"unknown demo kind {kind!r}")
+    """A canned, runnable config for each experiment kind; a fresh copy on every call."""
+    if kind not in _DEMOS:
+        raise ValueError(f"unknown demo kind {kind!r}")
+    return {"kind": kind, **copy.deepcopy(_DEMOS[kind]), "output_dir": "jetflow-out"}

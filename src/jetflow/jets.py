@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import PoleError
 from .multiindex import MultiIndexTable, graded_numbering
 
 
@@ -160,7 +161,7 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     _check_same_table(a, b)
     b0 = complex(b.coeffs[0])
     if b0 == 0:
-        raise ZeroDivisionError("division by a jet that vanishes at the expansion point")
+        raise PoleError("division by a jet that vanishes at the expansion point")
     u = b * (1.0 / b0) - 1.0  # nilpotent part
     inv = constant_jet(a.table, 1.0)
     for _ in range(a.table.max_degree):

@@ -65,8 +65,11 @@ def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10,
 
 
 def check_equilibrium(V: MapExpr, p, tol: float = 1e-12) -> None:
-    """Require V(p) = 0 up to tol."""
-    val = eval_map(V, p)
+    """Require V(p) = 0 up to tol; a pole of V at p is a ValueError too."""
+    try:
+        val = eval_map(V, p)
+    except ZeroDivisionError:
+        raise ValueError("base point is not an equilibrium: V has a pole there") from None
     worst = float(np.max(np.abs(val)))
     if worst >= tol:
         raise ValueError(f"base point is not an equilibrium: |V(p)| = {worst:.3e}")

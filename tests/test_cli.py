@@ -131,6 +131,30 @@ def test_pipeline_failure_exits_1(tmp_path, capsys, recwarn):
     assert record["type"] == "EstimatorIllPosedError"
 
 
+def test_pole_at_the_base_point_exits_1_with_a_record(tmp_path, capsys):
+    # the oracle's jet of 1/z1 at 0 divides by a jet that vanishes there
+    cfg = fast_config("pushforward-convergence")
+    cfg["map"] = "1/z1"
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "pole.json", cfg)
+    assert main(["run", path]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "pipeline-failure", "type": "PoleError",
+                      "reason": "division by a jet that vanishes at the expansion point"}
+
+
+def test_field_with_a_pole_at_the_base_point_exits_2(tmp_path, capsys):
+    cfg = fast_config("vectorfield-recovery")
+    cfg["map"] = "1/z1 - 1/z1"
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "pole.json", cfg)
+    assert main(["run", path]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config-invalid"
+    assert record["issues"] == [{"field": "base_point",
+                                 "reason": "base point is not an equilibrium: V has a pole there"}]
+
+
 def test_non_equilibrium_base_point_exits_2(tmp_path, capsys):
     cfg = fast_config("vectorfield-recovery")
     cfg["base_point"] = [0.5]  # -z + 0.2 z^2 does not vanish there
@@ -174,6 +198,26 @@ def test_validate_config_direct():
     ]
     issues = validate_config({"kind": "hankel-rates", "a": 0.0, "r": -1.0, "n_max": 3})
     assert ("r", "required positive number") in issues
+
+
+def test_validate_config_without_d_reports_lists_of_any_length():
+    cfg = demo_config("map-reconstruction")
+    cfg["d"] = 0
+    cfg["sampling"].update(scheme="sobol", support_radii=[], support_center="origin")
+    cfg["base_point"] = [0.0, "x"]
+    cfg["domain"]["radii"] = [-1.0]
+    cfg["eval"]["radii"] = [0.3, 0.0]
+    cfg["orders"]["n"] = 2
+    assert validate_config(cfg) == [
+        ("d", "required integer >= 1"),
+        ("sampling.scheme", "required one of ('iid', 'grid', 'halton')"),
+        ("sampling.support_radii", "required list of positive numbers"),
+        ("sampling.support_center", "must be a list of numbers"),
+        ("base_point", "required list of numbers"),
+        ("domain.radii", "required list of positive numbers"),
+        ("orders.n", "required integer >= m (6)"),
+        ("eval.radii", "required list of positive numbers"),
+    ]
 
 
 _DROP = object()  # a mutation value that deletes the key

@@ -1,3 +1,4 @@
+import copy
 import csv
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import jetflow
-from jetflow.experiments import run_experiment
+from jetflow.experiments import KINDS, demo_config, run_experiment
 
 
 def _rows(result):
@@ -75,3 +76,61 @@ def test_import_and_validate_leave_scipy_submodules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _header(result):
+    with open(result["csv"]) as fh:
+        return fh.readline().rstrip("\n").split(",")
+
+
+def test_map_reconstruction_header(tmp_path):
+    cfg = {
+        "kind": "map-reconstruction", "d": 2, "r": 2,
+        "map": "z1 + z2^2; z1*z2",
+        "base_point": [0.0, 0.0],
+        "domain": {"kind": "box", "radii": [1.0, 1.0]},
+        "orders": {"m": 2, "n": 3},
+        "sampling": {"scheme": "halton", "N": 500, "support_radii": [0.5, 0.5]},
+        "eval": {"radii": [0.2, 0.2], "points_per_axis": 2},
+        "output_dir": str(tmp_path),
+    }
+    assert _header(run_experiment(cfg)) == [
+        "z1", "z2",
+        "f1_true_re", "f1_true_im", "f1_hat_re", "f1_hat_im",
+        "f2_true_re", "f2_true_im", "f2_hat_re", "f2_hat_im",
+        "abs_error", "status",
+    ]
+
+
+def test_vectorfield_recovery_header(tmp_path):
+    cfg = {
+        "kind": "vectorfield-recovery", "d": 2,
+        "map": "-z1 + 0.1*z2^2; -0.5*z2",
+        "base_point": [0.0, 0.0],
+        "domain": {"kind": "box", "radii": [1.0, 1.0]},
+        "orders": {"m": 2, "n": 3},
+        "flow": {"T": 0.1, "tol": 1e-10},
+        "sampling": {"scheme": "halton", "N": 500, "support_radii": [0.4, 0.4]},
+        "eval": {"radii": [0.2, 0.2], "points_per_axis": 2},
+        "output_dir": str(tmp_path),
+    }
+    assert _header(run_experiment(cfg)) == [
+        "z1", "z2",
+        "V1_true", "V1_hat_re", "V1_hat_im",
+        "V2_true", "V2_hat_re", "V2_hat_im",
+        "abs_error", "status",
+    ]
+
+
+def test_demo_config_returns_a_fresh_copy():
+    for kind in KINDS:
+        cfg = demo_config(kind)
+        expected = copy.deepcopy(cfg)
+        for value in cfg.values():
+            if isinstance(value, dict):
+                for inner in value.values():
+                    if isinstance(inner, list):
+                        inner.append(0)
+                value["extra"] = 1
+        cfg["extra"] = 1
+        assert demo_config(kind) == expected
