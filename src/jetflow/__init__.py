@@ -54,7 +54,9 @@ from .multiindex import MultiIndexTable, graded_numbering, jet_dimension
 from .pushforward import (
     OraclePushforward,
     PushforwardEstimate,
+    PushforwardFold,
     estimate_pushforward,
+    fold_pushforward,
     gamma_check,
     oracle_pushforward,
     theorem_rate,

@@ -26,8 +26,14 @@ from .errors import ConfigError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
 from .hankel import MeasureSpec, hankel_spectrum_sweep, moment_matrix, sigma, smallest_eigenvalue
 from .maps import MapExpr, eval_map_batch, parse_map
-from .multiindex import graded_numbering
-from .pushforward import estimate_pushforward, gamma_check, oracle_pushforward, theorem_rate
+from .multiindex import graded_numbering, jet_dimension
+from .pushforward import (
+    estimate_pushforward,
+    fold_pushforward,
+    gamma_check,
+    oracle_pushforward,
+    theorem_rate,
+)
 from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
 from .sampling import _SCHEMES, _tensor_grid, draw_samples
 from .vectorfield import (
@@ -44,7 +50,9 @@ OUTPUT_ENV = "JETFLOW_OUTPUT_DIR"
 # ---------------------------------------------------------------- validation
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; a bool is not a number here, and NaN and +-inf are not finite."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and (isinstance(x, int) or math.isfinite(x)))
 
 
 def _is_int(x, lo=-math.inf) -> bool:
@@ -52,7 +60,7 @@ def _is_int(x, lo=-math.inf) -> bool:
 
 
 def _positive(x) -> bool:
-    return _is_num(x) and not x <= 0  # lets NaN through; a gap CHANGES.md records
+    return _is_num(x) and x > 0
 
 
 def _numbers(x, d: int | None, ok=_is_num) -> bool:
@@ -293,21 +301,38 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
     oracle = oracle_pushforward(f, p, m)
     q = eval_map_batch(f, p[None, :])[0]
     R_mu, _ = measure_radii(measure, domain)
+    n_sweep, N_sweep = _sizes(cfg["orders"], "n"), _sizes(cfg["sampling"], "N")
+    n_max = max(n_sweep)
+
+    # one draw, map evaluation, fold and empirical moment matrix per N, all at
+    # n_max: graded numbering makes every order's matrices their leading blocks
+    folded: dict[int, Any] = {}
+    for N in N_sweep:
+        try:
+            Z0 = draw_samples(measure, N, scheme, seed)
+            folded[N] = (fold_pushforward(p, q, m, n_max, _map_samples(f, p + Z0, scheme, seed)),
+                         moment_matrix(MeasureSpec.empirical(Z0), n_max))
+        except JetflowError as exc:
+            folded[N] = exc  # every row of this N carries it
+    exact_rows = moment_matrix(measure, n_max, exact=True)
 
     header = ["n", "N", "frobenius_error", "gamma_residual", "lambda_n",
               "rate_bound", "smallest_kept_sv", "status"]
     rows: list[list] = []
     errors: list[float] = []
-    for n in _sizes(cfg["orders"], "n"):
-        exact_rows = moment_matrix(measure, n, exact=True)
-        D_mu = np.array(exact_rows, dtype=np.float64)  # float() of each entry, as exact=False gives
-        lam = float(smallest_eigenvalue(exact_rows, 256).Lambda)
-        for N in _sizes(cfg["sampling"], "N"):
+    for n in n_sweep:
+        k = jet_dimension(f.d, n)
+        leading = [row[:k] for row in exact_rows[:k]]
+        D_mu = np.array(leading, dtype=np.float64)  # float() of each entry, as exact=False gives
+        lam = float(smallest_eigenvalue(leading, 256).Lambda)
+        for N in N_sweep:
             try:
-                Z0 = draw_samples(measure, N, scheme, seed)
-                est = estimate_pushforward(p, q, m, n, _map_samples(f, p + Z0, scheme, seed))
+                if isinstance(folded[N], JetflowError):
+                    raise folded[N]
+                fold, D_hat = folded[N]
+                est = fold.estimate(n)
                 err = float(np.linalg.norm(oracle.C - est.C_hat))
-                gam = gamma_check(D_mu, moment_matrix(MeasureSpec.empirical(Z0), n))
+                gam = gamma_check(D_mu, D_hat[:k, :k])
                 rate = theorem_rate(m, n, R_mu, lam, 1 - gam) if gam < 1 else None
                 rows.append([n, N, err, gam, lam, rate, est.smallest_kept_sv, "ok"])
                 errors.append(err)

@@ -1,11 +1,15 @@
 """Finite push-forward matrices: regression estimate and jet-space oracle.
 
 The estimate is the leftmost block of V* (U*)^+ built from feature matrices at
-sample pairs (z, f(z)), solved from the triangular factor of [U | V], which is
-accumulated one block of rows at a time by LAPACK's recursive Householder QR
-(xGEQRT) in panels of 8 columns.  The oracle computes the same matrix
-exactly from jets of f at the base point, by pairing derivative functionals
-against the target features composed with f.
+sample pairs (z, f(z)).  It takes two steps.  `fold_pushforward` folds the
+samples once at order n into the triangular factor R of [U_n | V_m], one
+block of rows at a time, by LAPACK's recursive Householder QR (xGEQRT) in
+panels of 8 columns.  `PushforwardFold.estimate` then solves at any order
+m <= n' <= n from the leading block: the graded columns of U_n' are the first
+r_n' of U_n, so R[:r_n', :r_n'] is the factor of U_n' and R[:r_n', r_n:]
+its right-hand side.  The oracle computes the same matrix exactly from jets of f
+at the base point, by pairing derivative functionals against the target
+features composed with f.
 """
 
 from __future__ import annotations
@@ -70,32 +74,44 @@ def _triangular_factor(blocks, r: int):
     return N, R
 
 
+def _leading_fit(N: int, R: np.ndarray, k: int, r: int, name: str):
+    """Least-squares solution (X, s, rcond) on the first k of the r left columns, read from R.
+
+    R is the R-only QR factor of N rows of [L | B], L having r columns.  The
+    columns of a QR factor depend only on those before them, so T = R[:k, :k]
+    is the factor of L's first k columns, R[:k, r:] their rotated right-hand
+    side, and X = T^-1 R[:k, r:]; the singular values s of T are those of the
+    leading k columns.  Warns when N < k; raises EstimatorIllPosedError when T
+    or its right-hand side is not finite, or unless all k singular values
+    exceed rcond * s[0] with rcond = default_rcond(N, k), so no rows at all is
+    numerical rank 0.
+    """
+    if N < k:
+        warnings.warn(f"only {N} samples for the {k} columns of the {name}; "
+                      "the fit is underdetermined", stacklevel=3)
+    T, rhs = R[:k, :k], R[:k, r:]
+    if not (np.isfinite(T).all() and np.isfinite(rhs).all()):
+        raise EstimatorIllPosedError(f"{name} has non-finite entries", np.full(k, np.nan))
+    rcond = default_rcond(N, k)
+    s = np.linalg.svd(T, compute_uv=False)
+    kept = int(np.count_nonzero(s > rcond * s[:1]))
+    if kept < k:
+        raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {k}", s)
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(T, rhs), s, rcond
+
+
 def rank_checked_lstsq(blocks, r: int, name: str):
     """Least-squares solution (X, s, rcond) of L X = R for an N x r matrix L of full column rank.
 
     `blocks` yields row blocks of [L | R], folded by `_triangular_factor`
     (recursive Householder QR, xGEQRT, in panels of _PANEL_COLS = 8 columns)
-    into [L | R] = Q [[T, T_R], [0, *]], so X = L^+ R = T^-1 T_R, and the
-    singular values s of the r x r block T are those of L.  Warns when N < r;
-    raises EstimatorIllPosedError when the factor is not finite, or unless all
-    r singular values exceed rcond * s[0] with rcond = default_rcond(N, r),
-    so no rows at all is numerical rank 0.
+    into [L | R] = Q [[T, T_R], [0, *]], and `_leading_fit` solves
+    X = L^+ R = T^-1 T_R with its rank check on all r columns.
     """
     N, R = _triangular_factor(blocks, r)
-    if N < r:
-        warnings.warn(f"only {N} samples for the {r} columns of the {name}; "
-                      "the fit is underdetermined", stacklevel=3)
-    if not np.isfinite(R).all():
-        raise EstimatorIllPosedError(f"{name} has non-finite entries", np.full(r, np.nan))
-    rcond = default_rcond(N, r)
-    T = R[:r, :r]
-    s = np.linalg.svd(T, compute_uv=False)
-    kept = int(np.count_nonzero(s > rcond * s[:1]))
-    if kept < r:
-        raise EstimatorIllPosedError(f"{name} has numerical rank {kept} < {r}", s)
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(T, R[:r, r:]), s, rcond
+    return _leading_fit(N, R, r, r, name)
 
 
 @dataclass(frozen=True)
@@ -117,13 +133,44 @@ class PushforwardEstimate:
             raise ValueError(f"estimate has shape {self.C_hat.shape}, expected {expected}")
 
 
-def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardEstimate:
-    """Least-squares push-forward estimate from paired samples.
+@dataclass(frozen=True, eq=False)
+class PushforwardFold:
+    """The triangular factor R of [U_n | V_m] over one sample set of N rows."""
+
+    R: np.ndarray
+    N: int
+    m: int
+    n: int
+    d: int
+    r: int
+
+    def estimate(self, n: int) -> PushforwardEstimate:
+        """The estimate from order-n features, m <= n <= self.n, solved from R's leading block."""
+        if not self.m <= n <= self.n:
+            raise ValueError(f"fold holds orders {self.m}..{self.n}, got n={n}")
+        X, s, rcond = _leading_fit(self.N, self.R, jet_dimension(self.d, n),
+                                   jet_dimension(self.d, self.n), "feature matrix")
+        # V* (U*)^+ = (U^+ V)^*, in complex128 whichever arithmetic ran
+        return PushforwardEstimate(
+            C_hat=X[:jet_dimension(self.d, self.m)].conj().T.astype(np.complex128),
+            m=self.m,
+            n=n,
+            d=self.d,
+            r=self.r,
+            pinv_rcond=float(rcond),
+            smallest_kept_sv=float(s[-1]),
+            largest_sv=float(s[0]),
+        )
+
+
+def fold_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardFold:
+    """Fold paired samples once into the factor behind every estimate of order m..n.
 
     p is the source base point, q = f(p) the target one; m is the block order,
-    n >= m the regression order.  The feature matrices U and V are built and
-    factored _BLOCK_ROWS rows at a time, so memory is O(_BLOCK_ROWS * r_n) for
-    any N; when p, q and all samples are real, every step runs in float64.
+    n >= m the largest regression order.  The feature matrices U and V are
+    built and factored _BLOCK_ROWS rows at a time, so memory is
+    O(_BLOCK_ROWS * r_n) for any N; when p, q and all samples are real, every
+    step runs in float64.
     """
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
     q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
@@ -136,18 +183,13 @@ def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet) -> Pushforwar
     blocks = (np.hstack([feature_matrix_U(p, n, Z[i:i + _BLOCK_ROWS]),
                          feature_matrix_V(q, m, W[i:i + _BLOCK_ROWS])])
               for i in range(0, len(samples), _BLOCK_ROWS))
-    X, s, rcond = rank_checked_lstsq(blocks, jet_dimension(d, n), "feature matrix")
-    # V* (U*)^+ = (U^+ V)^*, in complex128 whichever arithmetic ran
-    return PushforwardEstimate(
-        C_hat=X[:jet_dimension(d, m)].conj().T.astype(np.complex128),
-        m=m,
-        n=n,
-        d=d,
-        r=r,
-        pinv_rcond=float(rcond),
-        smallest_kept_sv=float(s[-1]),
-        largest_sv=float(s[0]),
-    )
+    N, R = _triangular_factor(blocks, jet_dimension(d, n))
+    return PushforwardFold(R=R, N=N, m=m, n=n, d=d, r=r)
+
+
+def estimate_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardEstimate:
+    """Least-squares push-forward estimate from paired samples: `fold_pushforward` solved at n."""
+    return fold_pushforward(p, q, m, n, samples).estimate(n)
 
 
 @dataclass(frozen=True)

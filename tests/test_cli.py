@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -225,6 +226,15 @@ _PF, _MR, _VF, _HR = ("pushforward-convergence", "map-reconstruction",
                       "vectorfield-recovery", "hankel-rates")
 
 
+# json reads a bare NaN as a float, which validation must reject before a run turns it
+# into a traceback (hankel-rates) or a CSV of nan rows marked ok (map-reconstruction)
+_NAN_CASES = [
+    (_HR, ("r",), math.nan, ("r", "required positive number")),
+    (_MR, ("eval", "radii"), [math.nan], ("eval.radii", "required list of 1 positive numbers")),
+    (_MR, ("base_point",), [math.nan], ("base_point", "required list of 1 numbers")),
+]
+
+
 # (kind, key path, new value or _DROP, the one issue validate_config must report or None)
 @pytest.mark.parametrize("kind, path, value, issue", [
     (_PF, ("output_dir",), 3, ("output_dir", "must be a string")),
@@ -268,8 +278,14 @@ _PF, _MR, _VF, _HR = ("pushforward-convergence", "map-reconstruction",
     (_VF, ("flow",), _DROP, ("flow", "required object with T and tol")),
     (_VF, ("flow", "T"), 0, ("flow.T", "required positive number")),
     (_VF, ("flow", "tol"), "small", ("flow.tol", "required positive number")),
+    *_NAN_CASES,
+    (_VF, ("flow", "T"), math.inf, ("flow.T", "required positive number")),
 ])
 def test_validate_config_reports_each_mutation(kind, path, value, issue):
+    assert validate_config(_mutated(kind, path, value)) == ([] if issue is None else [issue])
+
+
+def _mutated(kind, path, value):
     cfg = demo_config(kind)
     *parents, key = path
     section = cfg
@@ -279,7 +295,20 @@ def test_validate_config_reports_each_mutation(kind, path, value, issue):
         del section[key]
     else:
         section[key] = value
-    assert validate_config(cfg) == ([] if issue is None else [issue])
+    return cfg
+
+
+@pytest.mark.parametrize("kind, path, value, issue", _NAN_CASES)
+def test_nan_config_number_exits_2(tmp_path, capsys, kind, path, value, issue):
+    cfg = _mutated(kind, path, value)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "nan.json", cfg)
+    assert "NaN" in open(path).read()
+    assert main(["run", path]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config-invalid"
+    assert record["issues"] == [{"field": issue[0], "reason": issue[1]}]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

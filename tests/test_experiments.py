@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import jetflow
+from jetflow import experiments
 from jetflow.experiments import KINDS, demo_config, run_experiment
 
 
@@ -63,6 +65,41 @@ def test_pole_on_a_sample_writes_an_error_row(tmp_path):
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = _rows(run_experiment(cfg))
     assert [row["status"] for row in rows] == ["error:EstimatorIllPosedError"]
+
+
+def _sweep_config(tmp_path, n_sweep, N_sweep, scheme="halton"):
+    return {
+        "kind": "pushforward-convergence", "d": 1, "r": 1, "map": "0.3*z1 + 0.1*z1^2",
+        "base_point": [0.0],
+        "domain": {"kind": "box", "radii": [1.0]},
+        "orders": {"m": 3, "n_sweep": n_sweep},
+        "sampling": {"scheme": scheme, "N_sweep": N_sweep, "support_radii": [0.5], "seed": 1},
+        "output_dir": str(tmp_path),
+    }
+
+
+def test_underdetermined_order_fails_only_its_row(tmp_path):
+    # 10 samples: n = 12 has 13 columns, n = 3 and 5 have 4 and 6
+    with pytest.warns(UserWarning, match="underdetermined"):
+        rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 5, 12], [10])))
+    assert [(row["n"], row["status"]) for row in rows] == [
+        ("3", "ok"), ("5", "ok"), ("12", "error:EstimatorIllPosedError")]
+
+
+def test_sweep_draws_once_per_N(tmp_path, monkeypatch):
+    calls = []
+    draw = experiments.draw_samples
+
+    def counted(measure, N, scheme, seed=None):
+        calls.append(N)
+        return draw(measure, N, scheme, seed)
+
+    monkeypatch.setattr(experiments, "draw_samples", counted)
+    rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4, 5], [200, 300], "iid")))
+    assert calls == [200, 300]
+    assert [(row["n"], row["N"]) for row in rows] == [
+        (n, N) for n in ("3", "4", "5") for N in ("200", "300")]
+    assert all(row["status"] == "ok" for row in rows)
 
 
 def test_import_and_validate_leave_scipy_submodules_unloaded():

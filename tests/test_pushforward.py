@@ -13,6 +13,7 @@ from jetflow.pushforward import (
     _BLOCK_ROWS,
     _triangular_factor,
     estimate_pushforward,
+    fold_pushforward,
     gamma_check,
     oracle_pushforward,
     rank_checked_lstsq,
@@ -322,3 +323,34 @@ def test_estimate_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+# Largest |C_hat| entry difference seen between a fold's leading-block solve and a
+# separate fit, over these two configs and four more (d = 1 up to n = 9, d = 2 up
+# to n = 7, halton and iid): 2.9e-14, for entries of order 1
+FOLD_C_TOL = 1e-12
+
+
+@pytest.mark.parametrize("src, d, m, n, N, scheme", [
+    ("exp(z1) - 1", 1, 2, 8, 2000, "halton"),
+    ("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 3, 6, 3000, "iid"),
+])
+def test_fold_matches_a_separate_fit_at_every_order(src, d, m, n, N, scheme):
+    f = parse_map(src, d, d)
+    p = np.zeros(d)
+    samples = samples_for(f, p, draw_samples(MeasureSpec.uniform_box(p, [0.4] * d), N, scheme, 3))
+    fold = fold_pushforward(p, p, m, n, samples)
+    for k in range(m, n + 1):
+        got, ref = fold.estimate(k), estimate_pushforward(p, p, m, k, samples)
+        assert (got.m, got.n, got.d, got.r, got.pinv_rcond) == (ref.m, ref.n, ref.d, ref.r, ref.pinv_rcond)
+        assert np.abs(got.C_hat - ref.C_hat).max() <= FOLD_C_TOL
+        assert got.smallest_kept_sv == pytest.approx(ref.smallest_kept_sv, rel=1e-12, abs=0)
+        assert got.largest_sv == pytest.approx(ref.largest_sv, rel=1e-12, abs=0)
+
+
+def test_fold_estimate_rejects_orders_outside_m_to_n():
+    f = parse_map("0.3*z1 + 0.1*z1^2", 1, 1)
+    fold = fold_pushforward([0.0], [0.0], 3, 5, samples_for(f, [0.0], np.linspace(-0.5, 0.5, 40)[:, None]))
+    for k in (2, 6):
+        with pytest.raises(ValueError, match="orders 3..5"):
+            fold.estimate(k)
