@@ -4,7 +4,8 @@
     jetflow validate CONFIG.json   check a config without running it
     jetflow demo KIND [--out DIR]  write a canned config for an experiment kind
 
-Exit codes: 0 success, 1 pipeline failure, 2 bad config or arguments.
+Exit codes: 0 success, 1 pipeline failure, 2 bad config or arguments, or an
+output directory that cannot be written.
 Errors are written to stderr as single-line JSON records.
 """
 
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, JetflowError
-from .experiments import KINDS, demo_config, run_experiment, validate_config
+from .experiments import KINDS, demo_config, resolve_output_dir, run_experiment, validate_config
 
 
 def _error_record(kind: str, **fields) -> None:
@@ -26,6 +27,11 @@ def _error_record(kind: str, **fields) -> None:
 def _config_invalid(path: str, issues) -> int:
     _error_record("config-invalid", path=path,
                   issues=[{"field": f, "reason": r} for f, r in issues])
+    return 2
+
+
+def _output_unwritable(path, exc: OSError) -> int:
+    _error_record("output-unwritable", path=str(path), reason=str(exc))
     return 2
 
 
@@ -51,6 +57,8 @@ def _cmd_run(args) -> int:
     except JetflowError as exc:
         _error_record("pipeline-failure", type=type(exc).__name__, reason=str(exc))
         return 1
+    except OSError as exc:
+        return _output_unwritable(resolve_output_dir(cfg), exc)
     print(json.dumps(result["summary"], sort_keys=True))
     print(f"wrote {result['csv']}")
     print(f"wrote {result['manifest']}")
@@ -71,11 +79,14 @@ def _cmd_validate(args) -> int:
 def _cmd_demo(args) -> int:
     cfg = demo_config(args.kind)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{args.kind}.json"
-    with open(path, "w") as fh:
-        json.dump(cfg, fh, indent=2)
-        fh.write("\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        return _output_unwritable(outdir, exc)
     print(f"wrote {path}")
     return 0
 

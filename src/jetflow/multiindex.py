@@ -94,6 +94,8 @@ def graded_powers(X, n: int) -> np.ndarray:
     """N x r_n matrix of the monomials x^alpha of the rows of X, in graded order and X's dtype.
 
     Column alpha is column (alpha - e_k) times x_k: one multiply per column, one array.
+    X may be an object array of jets: the columns are then the jet powers (column
+    0 holds the integer 1), as the push-forward oracle uses them.
     """
     X = np.asarray(X)
     if X.ndim != 2:

@@ -7,9 +7,9 @@ block of rows at a time, by LAPACK's recursive Householder QR (xGEQRT) in
 panels of 8 columns.  `PushforwardFold.estimate` then solves at any order
 m <= n' <= n from the leading block: the graded columns of U_n' are the first
 r_n' of U_n, so R[:r_n', :r_n'] is the factor of U_n' and R[:r_n', r_n:]
-its right-hand side.  The oracle computes the same matrix exactly from jets of f
-at the base point, by pairing derivative functionals against the target
-features composed with f.
+its right-hand side.  The oracle computes the same matrix exactly as one jet
+product about the base point p: each target feature composed with f, divided
+by the source kernel e^{-|p|^2/2} e^{<z, p>}, read off in powers of z - p.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
-from .fock import SampleSet, _real_points, feature_matrix_U, feature_matrix_V
-from .jets import constant_jet, jet_exp, jet_int_pow, jet_mul
+from .fock import SampleSet, feature_matrix_U, feature_matrix_V
+from .jets import jet_exp, variable_jet
 from .maps import MapExpr, jet_of_map
 from .multiindex import graded_numbering, graded_powers, jet_dimension
 
@@ -201,49 +200,33 @@ class OraclePushforward:
 
 
 def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
-    """Exact push-forward block of order m computed from jets of f about p."""
+    """Exact push-forward block of order m computed from jets of f about p.
+
+    With q = f(p) and <w, q> = sum_k w_k conj(q_k), entry (beta, alpha) is
+    e^{(|q|^2 - |p|^2)/2} sqrt(alpha!/beta!) times the conjugate of the
+    (z-p)^alpha coefficient of e^{<f-q, q> - <z-p, p>} (f-q)^beta: the
+    target feature v_{q,beta} after f, with the source kernel divided out.
+    """
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
-    p = np.atleast_1d(_real_points(p, "base points"))
+    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
     if p.shape != (f.d,):
         raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
-    d, r = f.d, f.r
-    table_E = graded_numbering(d, m)
-    table_F = graded_numbering(r, m)
+    table_E = graded_numbering(f.d, m)
     jets_f = jet_of_map(f, p, m)
     q = np.array([jf.coeffs[0] for jf in jets_f])
-    jac = np.array([[jets_f[k].coeffs[1 + i] for i in range(d)] for k in range(r)])
+    jac = np.array([jf.coeffs[1:f.d + 1] for jf in jets_f])
 
-    # jets of the centered components and of e^{<f-q, q>}
     centered = [jf - q_k for jf, q_k in zip(jets_f, q)]
-    expo = constant_jet(centered[0].table, 0.0)
-    for k in range(r):
-        expo += centered[k] * complex(np.conj(q[k]))
-    kernel = jet_exp(expo)
+    kernel = jet_exp(sum(c * np.conj(q_k) for c, q_k in zip(centered, q))
+                     - sum(variable_jet(table_E, k + 1) * np.conj(p_k) for k, p_k in enumerate(p)))
+    powers = graded_powers(np.array([centered], dtype=object), m)[0]
+    H = np.array([(kernel * g).coeffs for g in powers])
 
-    H = np.empty((len(table_F), len(table_E)), dtype=np.complex128)
-    for j, beta in enumerate(table_F.entries):
-        g = kernel
-        for k, b in enumerate(beta):
-            if b:
-                g = jet_mul(g, jet_int_pow(centered[k], b))
-        H[j] = g.coeffs
-
-    # contraction with the derivative-functional coefficients of the source features
-    M = np.zeros((len(table_E), len(table_E)))
-    neg_p = graded_powers(-p[None, :], m)[0]
-    pref = math.exp(-float(p @ p) / 2)
-    for i, alpha in enumerate(table_E.entries):
-        scale = pref / math.sqrt(table_E.factorials[i])
-        for gamma in product(*(range(a + 1) for a in alpha)):
-            t = table_E.position(gamma)
-            binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-            mono = neg_p[table_E.position(tuple(a - g for a, g in zip(alpha, gamma)))]
-            M[i, t] = scale * binom * mono * table_E.factorials[t]
-
-    fac_F = np.array(table_F.factorials, dtype=np.float64)
-    row_scale = math.exp(float(np.vdot(q, q).real) / 2) / np.sqrt(fac_F)
-    C = (row_scale[:, None] * np.conj(H)) @ M.T
+    fac_E = np.array(table_E.factorials, dtype=np.float64)
+    fac_F = np.array(graded_numbering(f.r, m).factorials, dtype=np.float64)
+    scale = math.exp((np.vdot(q, q).real - np.vdot(p, p).real) / 2)
+    C = scale * np.sqrt(fac_E)[None, :] / np.sqrt(fac_F)[:, None] * np.conj(H)
     return OraclePushforward(C=C, jacobian=jac)
 
 

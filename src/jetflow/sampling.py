@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 import numpy as np
@@ -51,6 +50,12 @@ def _tensor_grid(center: np.ndarray, radii: np.ndarray, per_axis: int) -> np.nda
     return np.array(list(product(*axes)))
 
 
+def _grid_side(N: int, d: int) -> int:
+    """Smallest k with k**d >= N, checked in integers: 3125 ** (1/5) is 5.000000000000001."""
+    k = round(N ** (1.0 / d))
+    return k if k ** d >= N else k + 1
+
+
 def _symmetric_subset(points: np.ndarray, N: int) -> np.ndarray:
     """N of the M rows of points, at indices symmetric under j -> M-1-j.
 
@@ -92,7 +97,7 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
             return center + radii * rng.uniform(-1.0, 1.0, size=(N, d))
         if scheme == "halton":
             return center + radii * (2.0 * halton_points(N, d) - 1.0)
-        per_axis = math.ceil(N ** (1.0 / d))
+        per_axis = _grid_side(N, d)
         return _symmetric_subset(_tensor_grid(center, radii, per_axis), N)
 
     radius = float(measure.radius)
@@ -113,7 +118,7 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
             out = np.vstack([out, pts[_ball_mask(pts, center, radius)]])
             start += block
         return out[:N]
-    per_axis = math.ceil(N ** (1.0 / d))
+    per_axis = _grid_side(N, d)
     while True:
         grid = _tensor_grid(center, np.full(d, radius), per_axis)
         inside = grid[_ball_mask(grid, center, radius)]

@@ -119,6 +119,30 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert record["error"] == "config-not-json"
 
 
+def test_run_into_an_output_dir_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    cfg = fast_config("hankel-rates")
+    cfg["output_dir"] = str(tmp_path / "plain" / "out")
+    code = main(["run", write_config(tmp_path / "cfg.json", cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "output-unwritable"
+    assert record["path"] == cfg["output_dir"] and record["reason"]
+
+
+@pytest.mark.parametrize("out", ["plain", "plain/sub"])
+def test_demo_into_a_file_exits_2(tmp_path, capsys, out):
+    (tmp_path / "plain").write_text("")
+    code = main(["demo", "hankel-rates", "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "output-unwritable"
+    assert record["path"] == str(tmp_path / out) and record["reason"]
+    assert (tmp_path / "plain").read_text() == ""
+
+
 def test_pipeline_failure_exits_1(tmp_path, capsys, recwarn):
     cfg = fast_config("map-reconstruction")
     cfg["sampling"]["N"] = 5  # fewer samples than degree-6 features

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jetflow.errors import EstimatorIllPosedError, NonPositiveDefiniteError
-from jetflow.fock import SampleSet, feature_matrix_U, feature_matrix_V
+from jetflow.fock import SampleSet, basis_u, basis_v, feature_matrix_U, feature_matrix_V
 from jetflow.hankel import MeasureSpec, moment_matrix
 from jetflow.maps import compose_maps, eval_map_batch, parse_map
 from jetflow.multiindex import graded_numbering, jet_dimension
@@ -19,7 +19,7 @@ from jetflow.pushforward import (
     rank_checked_lstsq,
     theorem_rate,
 )
-from jetflow.sampling import draw_samples
+from jetflow.sampling import draw_samples, halton_points
 
 
 def samples_for(f, p, Z0):
@@ -235,10 +235,54 @@ def test_estimate_metadata():
     assert est.smallest_kept_sv > est.pinv_rcond * est.largest_sv
 
 
-def test_oracle_rejects_complex_base_point():
-    f = parse_map("z1^2", 1, 1)
-    with pytest.raises(ValueError, match="complex"):
-        oracle_pushforward(f, np.array([0.5 + 0.5j]), 2)
+def test_oracle_at_complex_base_point_matches_complex_sample_estimate():
+    # Halton points on the complex box p + [-0.4, 0.4] + i[-0.4, 0.4]
+    f = parse_map("0.3*z1 + 0.1*z1^2", 1, 1)
+    p = np.array([0.1 + 0.2j])
+    q = eval_map_batch(f, p[None, :])[0]
+    H = halton_points(20_000, 2)
+    Z = p + 0.4 * (2 * H[:, :1] - 1) + 0.4j * (2 * H[:, 1:] - 1)
+    fold = fold_pushforward(p, q, 3, 9, SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test"))
+    C = oracle_pushforward(f, p, 3).C
+    err6, err9 = (np.linalg.norm(fold.estimate(n).C_hat - C) for n in (6, 9))
+    assert err6 < 1e-5 and err9 < 1e-10 and err9 < 1e-4 * err6
+
+
+def _feature_residuals(f, p, m, z):
+    """|v_{q,beta}(f(z)) - sum_alpha conj(C[beta, alpha]) u_{p,alpha}(z)| for each beta."""
+    C = oracle_pushforward(f, p, m).C
+    q, w = eval_map_batch(f, np.array([p, z], dtype=np.complex128))
+    u = np.array([basis_u(p, alpha, z) for alpha in graded_numbering(f.d, m)])
+    return np.array([abs(basis_v(q, beta, w) - np.conj(C[j]) @ u)
+                     for j, beta in enumerate(graded_numbering(f.r, m))])
+
+
+@pytest.mark.parametrize("src, d, r", [("0.3*z1 + 0.1*z1^2", 1, 1),
+                                       ("sin(z1)*exp(0.5*z2) + 0.2*z2", 2, 1),
+                                       ("z1 + 0.2*z2^2 - 0.1; 0.5*z2 - 0.3*z1*z2 + 0.2", 2, 2)])
+@pytest.mark.parametrize("p", [[0.3, -0.3], [0.1 + 0.2j, -0.2 + 0.1j]])
+def test_oracle_expands_target_features_in_source_features(src, d, r, p):
+    # the order-m expansion of v_{q,beta} after f misses by O(eps^{m+1}) at z = p + eps*u
+    f = parse_map(src, d, r)
+    p = np.array(p[:d])
+    u = np.array([0.6 + 0.3j, -0.5 + 0.55j][:d])
+    res = [_feature_residuals(f, p, 3, p + eps * u).max() for eps in (0.1, 0.05, 0.025)]
+    assert res[0] < 1e-4
+    for coarse, fine in zip(res, res[1:]):
+        assert 14 < coarse / fine < 18
+
+
+def test_oracle_of_a_translation_is_closed_form():
+    # f = z + b: C[beta, alpha] = e^{pb + b^2/2} sqrt(alpha!/beta!) b^(alpha-beta)/(alpha-beta)!
+    p, b, m = 0.3, -0.4, 5
+    C = oracle_pushforward(parse_map("z1 - 0.4", 1, 1), np.array([p]), m).C
+    expect = np.zeros((m + 1, m + 1))
+    for beta in range(m + 1):
+        for alpha in range(beta, m + 1):
+            expect[beta, alpha] = (math.exp(p * b + b * b / 2)
+                                   * math.sqrt(math.factorial(alpha) / math.factorial(beta))
+                                   * b ** (alpha - beta) / math.factorial(alpha - beta))
+    assert np.abs(C - expect).max() < 1e-14
 
 
 def test_oracle_accepts_complex_dtype_with_zero_imaginary_part():

@@ -25,6 +25,16 @@ def test_grid_single_point_is_center():
     assert np.allclose(Z, [[0.4]])
 
 
+def test_grid_perfect_fifth_power_is_the_full_grid():
+    # 3125 ** (1/5) is 5.000000000000001 in floating point: the side must still be 5
+    mu = MeasureSpec.uniform_box([0.0] * 5, [1.0] * 5)
+    Z = draw_samples(mu, 3125, "grid")
+    assert len(np.unique(Z, axis=0)) == 3125
+    for k in range(5):
+        assert np.array_equal(np.unique(Z[:, k]), [-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert (np.abs(Z).max(axis=1) == 0).sum() == 1
+
+
 def test_determinism_per_scheme():
     mu = MeasureSpec.uniform_box([0.0, 0.0], [1.0, 2.0])
     for scheme in ("iid", "grid", "halton"):
