@@ -35,7 +35,7 @@ from .pushforward import (
     theorem_rate,
 )
 from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
-from .sampling import _SCHEMES, _tensor_grid, draw_samples
+from .sampling import _PRIMES, _SCHEMES, _tensor_grid, draw_samples
 from .vectorfield import (
     bound_B,
     check_equilibrium,
@@ -55,7 +55,7 @@ def _is_num(x) -> bool:
             and (isinstance(x, int) or math.isfinite(x)))
 
 
-def _is_int(x, lo=-math.inf) -> bool:
+def _is_int(x, lo: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= lo
 
 
@@ -132,16 +132,18 @@ def validate_config(cfg: Any) -> list[tuple[str, str]]:
 
     sampling = cfg.get("sampling")
     if _need(issues, "sampling", isinstance(sampling, dict), "required object"):
-        _need(issues, "sampling.scheme", sampling.get("scheme") in _SCHEMES,
-              f"required one of {_SCHEMES}")
+        scheme = sampling.get("scheme")
+        if _need(issues, "sampling.scheme", scheme in _SCHEMES, f"required one of {_SCHEMES}"):
+            _need(issues, "sampling.scheme", scheme != "halton" or d is None or d <= len(_PRIMES),
+                  f"halton supports up to {len(_PRIMES)} dimensions")
         _one_size(issues, "sampling", sampling, "N", 1, "1")
         _need(issues, "sampling.support_radii", _radii(sampling.get("support_radii"), d),
               f"required {list_of} positive numbers")
         _need(issues, "sampling.support_center",
               "support_center" not in sampling or _numbers(sampling["support_center"], d),
               f"must be a {list_of} numbers")
-        _need(issues, "sampling.seed", sampling.get("seed") is None or _is_int(sampling["seed"]),
-              "must be an integer")
+        _need(issues, "sampling.seed", sampling.get("seed") is None or _is_int(sampling["seed"], 0),
+              "must be an integer >= 0")
 
     if kind != "lsq-equivalence":
         _need(issues, "base_point", _numbers(cfg.get("base_point"), d), f"required {list_of} numbers")

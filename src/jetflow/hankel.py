@@ -77,16 +77,6 @@ class MeasureSpec:
         return len(self.center)
 
 
-def _interval_moments(c: Fraction, r: Fraction, max_power: int, normalized: bool) -> list[Fraction]:
-    """Exact moments of the weight-1 (or normalized) measure on [c-r, c+r]."""
-    hi, lo = c + r, c - r
-    mass = 2 * r if normalized else Fraction(1)
-    return [
-        ((hi ** (k + 1)) - (lo ** (k + 1))) / ((k + 1) * mass)
-        for k in range(max_power + 1)
-    ]
-
-
 def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
     """Matrix of moments x^(alpha_i + alpha_j) over the graded numbering of order n.
 
@@ -100,19 +90,14 @@ def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
         D = V.T @ V / V.shape[0]
         return (D + D.T) / 2
     if measure.kind == "uniform_box":
-        per_axis = [
-            _interval_moments(Fraction(c), Fraction(r), 2 * n, measure.normalized)
-            for c, r in zip(measure.center, measure.radii)
-        ]
-        rows = []
-        for alpha in table.entries:
-            row = []
-            for beta in table.entries:
-                entry = Fraction(1)
-                for k in range(measure.d):
-                    entry *= per_axis[k][alpha[k] + beta[k]]
-                row.append(entry)
-            rows.append(row)
+        # per axis, the exact moments of the weight-1 (or normalized) measure on [c-r, c+r]
+        per_axis = []
+        for c, r in zip(map(Fraction, measure.center), map(Fraction, measure.radii)):
+            mass = 2 * r if measure.normalized else 1
+            per_axis.append([((c + r) ** (k + 1) - (c - r) ** (k + 1)) / ((k + 1) * mass)
+                             for k in range(2 * n + 1)])
+        rows = [[math.prod(mom[i + j] for mom, i, j in zip(per_axis, alpha, beta))
+                 for beta in table.entries] for alpha in table.entries]
         if exact:
             return rows
         return np.array([[float(x) for x in row] for row in rows])
@@ -120,16 +105,13 @@ def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
 
 
 def lebesgue_hankel(a: float, r: float, n: int) -> list[list[Fraction]]:
-    """Exact (n+1)x(n+1) Hankel matrix of weight-1 moments on [a-r, a+r]."""
-    if r <= 0:
-        raise ValueError("interval radius must be positive")
-    mom = _interval_moments(_fraction(a), _fraction(r), 2 * n, normalized=False)
-    return [[mom[i + j] for j in range(n + 1)] for i in range(n + 1)]
+    """Exact (n+1)x(n+1) Hankel matrix of weight-1 moments on [a-r, a+r]: the 1-D unnormalized box table."""
+    return moment_matrix(MeasureSpec.uniform_box([a], [r], normalized=False), n, exact=True)
 
 
 @dataclass(frozen=True)
 class HankelSpectrum:
-    """Certified smallest eigenvalue of a moment matrix."""
+    """Certified smallest eigenvalue of a moment matrix of size n + 1."""
 
     n: int
     Lambda: object  # mpmath.mpf
@@ -233,57 +215,47 @@ def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
     return lam
 
 
-def smallest_eigenvalue(D, precision_bits: int = 256, order: Optional[int] = None) -> HankelSpectrum:
-    """Certified smallest eigenvalue of a real symmetric matrix.
+def smallest_eigenvalue(D, precision_bits: int = 256) -> HankelSpectrum:
+    """Certified smallest eigenvalue of a real symmetric matrix of size n + 1.
 
-    The entries are converted to exact rationals (floats exactly), and the
-    indices are split into the connected components of the exact nonzero
-    pattern: up to a permutation D is block-diagonal over them (2**d parity
-    blocks for a box centred at 0, one block for a dense matrix), so its
-    smallest eigenvalue is the minimum over the blocks.  Each block's value is
-    its smallest eigenvalue from mpmath.eigsy at `precision_bits`, and two
-    exact inertia counts of the block at dyadic points t_lo < value < t_hi
-    prove that no eigenvalue lies below t_lo and at least one lies below t_hi,
-    with relative width (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).
-    A relative width cannot bracket an exact 0, so when either count fails a
-    third exact count at t = 0 certifies a singular positive semidefinite
-    block, whose value is 0.  Otherwise PrecisionError asks for more bits;
-    every block is certified, and nothing uncertified is returned.
+    D is nested lists or any ndarray (an object array of Fractions, say), read
+    through tolist().  It must be square, with finite entries, and exactly
+    symmetric, floats included.  The entries are converted to exact rationals
+    (floats exactly), and the indices are split into the connected components
+    of the exact nonzero pattern: up to a permutation D is block-diagonal over
+    them (2**d parity blocks for a box centred at 0, one block for a dense
+    matrix), so its smallest eigenvalue is the minimum over the blocks.  Each
+    block's value is its smallest eigenvalue from mpmath.eigsy at
+    `precision_bits`, and two exact inertia counts of the block at dyadic
+    points t_lo < value < t_hi prove that no eigenvalue lies below t_lo and at
+    least one lies below t_hi, with relative width (t_hi - t_lo)/|value| about
+    2**(-precision_bits // 4).  A relative width cannot bracket an exact 0, so
+    when either count fails a third exact count at t = 0 certifies a singular
+    positive semidefinite block, whose value is 0.  Otherwise PrecisionError
+    asks for more bits; every block is certified, and nothing uncertified is
+    returned.
     """
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
-    # an object array (of Fractions, say) takes the exact nested-list path
-    if isinstance(D, np.ndarray) and D.dtype != object:
-        if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {D.shape}")
-        if not np.isfinite(D).all():
-            raise ValueError("matrix has non-finite entries")
-        if not np.allclose(D, D.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.abs(D).max()))):
-            raise ValueError("matrix is not symmetric")
-        D = (D + D.T) / 2
-        size = D.shape[0]
-        raw_rows = [[D[i, j] for j in range(size)] for i in range(size)]
-    else:
-        raw_rows = [list(row) for row in D]
-        size = len(raw_rows)
-        if size == 0 or any(len(row) != size for row in raw_rows):
-            raise ValueError("expected a nonempty square matrix")
-        if not all(isinstance(x, numbers.Rational) or math.isfinite(x) for row in raw_rows for x in row):
-            raise ValueError("matrix has non-finite entries")
-        for i in range(size):
-            for j in range(i):
-                if raw_rows[i][j] != raw_rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
+    raw_rows = D.tolist() if isinstance(D, np.ndarray) else list(D)
+    size = len(raw_rows)
+    # np.shape also rejects a row that is a scalar (a 1-D array) or holds lists (a 3-D one)
+    if size == 0 or any(np.shape(row) != (size,) for row in raw_rows):
+        raise ValueError("expected a nonempty square matrix")
+    if not all(isinstance(x, numbers.Rational) or math.isfinite(x) for row in raw_rows for x in row):
+        raise ValueError("matrix has non-finite entries")
+    if any(raw_rows[i][j] != raw_rows[j][i] for i in range(size) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     rows = [[_fraction(x) for x in row] for row in raw_rows]
-    order = order if order is not None else size - 1
     lam = min(_certified_smallest([[rows[i][j] for j in block] for i in block], precision_bits)
               for block in _blocks(rows))
-    return HankelSpectrum(n=order, Lambda=lam, precision_bits=precision_bits, certified=True)
+    return HankelSpectrum(n=size - 1, Lambda=lam, precision_bits=precision_bits, certified=True)
 
 
 def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[HankelSpectrum]:
-    """Certified smallest eigenvalues of the interval Hankel matrices for n = 0..n_max."""
-    return [smallest_eigenvalue(lebesgue_hankel(a, r, n), precision_bits, order=n)
+    """Certified smallest eigenvalues of the leading blocks, n = 0..n_max, of one interval Hankel table."""
+    table = lebesgue_hankel(a, r, n_max)
+    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits)
             for n in range(n_max + 1)]
 
 
@@ -312,15 +284,11 @@ def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) 
 def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
                           precision_bits: int = 256) -> float:
     """Product of per-axis interval Hankel eigenvalues; a floor for the box spectrum."""
-    p = list(np.atleast_1d(p))
-    radii = list(np.atleast_1d(radii))
-    if len(p) != len(radii):
-        raise ValueError("center and radii have different lengths")
+    center, radii = _body_args(p, radii=radii)
     with mpmath.workprec(precision_bits):
         prod = mpmath.mpf(1)
-        for c, r in zip(p, radii):
-            spec = smallest_eigenvalue(lebesgue_hankel(c, r, n), precision_bits, order=n)
-            prod *= spec.Lambda
+        for c, r in zip(center, radii):
+            prod *= smallest_eigenvalue(lebesgue_hankel(c, r, n), precision_bits).Lambda
         return float(prod)
 
 

@@ -290,7 +290,7 @@ _NAN_CASES = [
      ("sampling.support_radii", "required list of 1 positive numbers")),
     (_MR, ("sampling", "support_center"), [0.0, 0.0],
      ("sampling.support_center", "must be a list of 1 numbers")),
-    (_MR, ("sampling", "seed"), 1.5, ("sampling.seed", "must be an integer")),
+    (_MR, ("sampling", "seed"), 1.5, ("sampling.seed", "must be an integer >= 0")),
     (_MR, ("domain",), [], ("domain", "required object")),
     (_MR, ("domain", "radii"), [0.0], ("domain.radii", "required list of 1 positive numbers")),
     (_MR, ("domain",), {"kind": "ball", "radius": -1.0}, ("domain.radius", "required positive number")),
@@ -304,6 +304,7 @@ _NAN_CASES = [
     (_VF, ("flow", "tol"), "small", ("flow.tol", "required positive number")),
     *_NAN_CASES,
     (_VF, ("flow", "T"), math.inf, ("flow.T", "required positive number")),
+    (_MR, ("sampling", "seed"), -1, ("sampling.seed", "must be an integer >= 0")),
 ])
 def test_validate_config_reports_each_mutation(kind, path, value, issue):
     assert validate_config(_mutated(kind, path, value)) == ([] if issue is None else [issue])
@@ -324,15 +325,52 @@ def _mutated(kind, path, value):
 
 @pytest.mark.parametrize("kind, path, value, issue", _NAN_CASES)
 def test_nan_config_number_exits_2(tmp_path, capsys, kind, path, value, issue):
-    cfg = _mutated(kind, path, value)
-    cfg["output_dir"] = str(tmp_path / "out")
-    path = write_config(tmp_path / "nan.json", cfg)
+    path = _run_exits_2_on(tmp_path, capsys, _mutated(kind, path, value), issue)
     assert "NaN" in open(path).read()
+
+
+def _run_exits_2_on(tmp_path, capsys, cfg, issue):
+    """Run cfg from a file, check the one config-invalid record, and return the file's path."""
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "bad.json", cfg)
     assert main(["run", path]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config-invalid"
     assert record["issues"] == [{"field": issue[0], "reason": issue[1]}]
     assert not (tmp_path / "out").exists()
+    return path
+
+
+def _wide(kind, scheme, d=21):
+    """The demo config of kind in d dimensions, drawn by scheme."""
+    cfg = demo_config(kind)
+    cfg["d"], cfg["base_point"] = d, [0.0] * d
+    cfg["domain"]["radii"] = [1.0] * d
+    cfg["sampling"].update(scheme=scheme, support_radii=[0.5] * d)
+    if "eval" in cfg:
+        cfg["eval"]["radii"] = [0.3] * d
+    return cfg
+
+
+_HALTON_ISSUE = ("sampling.scheme", "halton supports up to 20 dimensions")
+
+
+@pytest.mark.parametrize("kind", [_PF, _MR])
+def test_halton_beyond_its_primes_is_a_config_issue(kind):
+    assert validate_config(_wide(kind, "iid")) == []
+    assert validate_config(_wide(kind, "halton", d=20)) == []
+    assert validate_config(_wide(kind, "halton")) == [_HALTON_ISSUE]
+
+
+# configs whose draw_samples call ended the run in a ValueError traceback
+@pytest.mark.parametrize("make_config, issue", [
+    (lambda: _mutated(_MR, ("sampling",), {"scheme": "iid", "N": 100, "support_radii": [0.5], "seed": -1}),
+     ("sampling.seed", "must be an integer >= 0")),
+    (lambda: _wide(_MR, "halton"), _HALTON_ISSUE),
+    (lambda: _wide(_PF, "halton"), _HALTON_ISSUE),
+], ids=["iid-negative-seed", "halton-d21-map-reconstruction", "halton-d21-pushforward-convergence"])
+def test_config_that_draw_samples_rejects_exits_2(tmp_path, capsys, make_config, issue):
+    _run_exits_2_on(tmp_path, capsys, make_config(), issue)
 
 
 def test_unknown_subcommand_exits_2(capsys):

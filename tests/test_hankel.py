@@ -230,8 +230,9 @@ def test_singular_psd_block_next_to_positive_definite_block_is_certified_zero():
     assert spec.certified
 
 
-@pytest.mark.parametrize("D", [[], np.zeros((0, 0)), np.zeros((2, 3)), [[1.0, 0.0], [0.0]]],
-                         ids=["empty-list", "empty-array", "2x3", "ragged"])
+@pytest.mark.parametrize("D", [[], np.zeros((0, 0)), np.zeros((2, 3)), [[1.0, 0.0], [0.0]],
+                               np.zeros(3), np.zeros((2, 2, 2))],
+                         ids=["empty-list", "empty-array", "2x3", "ragged", "1-d", "3-d"])
 def test_empty_or_non_square_matrix_rejected(D):
     with pytest.raises(ValueError, match="expected a nonempty square matrix"):
         smallest_eigenvalue(D, 64)
@@ -268,6 +269,19 @@ def test_object_array_of_fractions_matches_nested_lists():
 def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
         smallest_eigenvalue(np.array([[1.0, 0.5], [0.2, 1.0]]), 128)
+
+
+def test_float_asymmetry_below_any_tolerance_rejected():
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        smallest_eigenvalue(np.array([[1.0, 0.5 + 2.0 ** -52], [0.5, 1.0]]), 128)
+
+
+def test_sweep_equals_each_order_on_its_own():
+    # a non-centred interval: each matrix is one dense block
+    specs = hankel_spectrum_sweep(0.3, 0.7, 12)
+    assert [s.n for s in specs] == list(range(13))
+    for n, spec in enumerate(specs):
+        assert spec.Lambda == smallest_eigenvalue(lebesgue_hankel(0.3, 0.7, n)).Lambda
 
 
 def test_interlacing_sweep():
