@@ -196,10 +196,7 @@ def _support_extremes(measure: MeasureSpec) -> np.ndarray:
     """Per-coordinate maximal |x| over the support."""
     if measure.kind == "empirical":
         return np.max(np.abs(measure.points), axis=0)
-    c = np.abs(np.array(measure.center))
-    if measure.kind == "uniform_box":
-        return c + np.array(measure.radii)
-    return c + measure.radius
+    return np.abs(np.array(measure.center)) + np.array(measure.radii)
 
 
 def measure_radii(measure: MeasureSpec, domain: DomainSpec) -> tuple[float, float]:
@@ -208,15 +205,8 @@ def measure_radii(measure: MeasureSpec, domain: DomainSpec) -> tuple[float, floa
         raise ValueError(f"measure dimension {measure.d} != domain dimension {domain.d}")
     if measure.kind == "empirical":
         R = max(minkowski(domain, x) for x in measure.points)
-    elif measure.kind == "uniform_box":
-        corner = _support_extremes(measure)
-        R = minkowski(domain, corner)
-    else:  # uniform_ball
-        c = np.array(measure.center)
-        if domain.kind == "box":
-            R = float(np.max((np.abs(c) + measure.radius) / np.array(domain.radii)))
-        else:
-            R = float((np.linalg.norm(c) + measure.radius) / domain.radius)
+    else:
+        R = minkowski(domain, _support_extremes(measure))
     if R > 1 + 1e-12:
         raise SupportError(f"support exceeds the reference body (gauge radius {R:.6g})")
     L = max(1.0, float(np.max(_support_extremes(measure))))

@@ -41,13 +41,12 @@ def _body_args(center, radii=None, radius=None):
 
 @dataclass(frozen=True, eq=False)
 class MeasureSpec:
-    """A compactly supported measure: sample cloud, box, or ball."""
+    """A compactly supported measure: a sample cloud, or the uniform measure on a box (exact moments)."""
 
-    kind: str  # "empirical" | "uniform_box" | "uniform_ball"
+    kind: str  # "empirical" | "uniform_box"
     points: Optional[np.ndarray] = None
     center: Optional[tuple[float, ...]] = None
     radii: Optional[tuple[float, ...]] = None
-    radius: Optional[float] = None
     normalized: bool = True
 
     @classmethod
@@ -64,11 +63,6 @@ class MeasureSpec:
     def uniform_box(cls, center, radii, normalized: bool = True) -> "MeasureSpec":
         c, r = _body_args(center, radii=radii)
         return cls(kind="uniform_box", center=c, radii=r, normalized=normalized)
-
-    @classmethod
-    def uniform_ball(cls, center, radius, normalized: bool = True) -> "MeasureSpec":
-        c, r = _body_args(center, radius=radius)
-        return cls(kind="uniform_ball", center=c, radius=r, normalized=normalized)
 
     @property
     def d(self) -> int:

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import MapSyntaxError
+from .errors import MapSyntaxError, PoleError
 from .jets import Jet, constant_jet, jet_cos, jet_exp, jet_sin, variable_jet
 from .multiindex import graded_numbering
 
@@ -275,11 +275,17 @@ def _eval_scalar(node: Node, z: np.ndarray) -> complex:
 
 
 def eval_map(f: MapExpr, z) -> np.ndarray:
-    """Evaluate f at a single point; returns a complex vector of length r."""
+    """Evaluate f at a single point; returns a complex vector of length r.
+
+    A division by zero on the way raises PoleError: f has a pole at z.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if z.shape != (f.d,):
         raise ValueError(f"point has shape {z.shape}, expected ({f.d},)")
-    return np.array([_eval_scalar(c, z) for c in f.components], dtype=np.complex128)
+    try:
+        return np.array([_eval_scalar(c, z) for c in f.components], dtype=np.complex128)
+    except ZeroDivisionError:
+        raise PoleError("division by zero: the map has a pole at the point") from None
 
 
 def eval_map_batch(f: MapExpr, Z) -> np.ndarray:

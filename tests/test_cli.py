@@ -168,6 +168,18 @@ def test_pole_at_the_base_point_exits_1_with_a_record(tmp_path, capsys):
                       "reason": "division by a jet that vanishes at the expansion point"}
 
 
+def test_lsq_equivalence_pole_at_the_origin_exits_1_with_a_record(tmp_path, capsys):
+    # the pipeline evaluates g(0) pointwise, where 1/z1 divides by zero
+    cfg = fast_config("lsq-equivalence")
+    cfg["map"] = "1/z1"
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "pole.json", cfg)
+    assert main(["run", path]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "pipeline-failure", "type": "PoleError",
+                      "reason": "division by zero: the map has a pole at the point"}
+
+
 def test_field_with_a_pole_at_the_base_point_exits_2(tmp_path, capsys):
     cfg = fast_config("vectorfield-recovery")
     cfg["map"] = "1/z1 - 1/z1"

@@ -33,6 +33,22 @@ def test_pushforward_convergence_two_components(tmp_path):
     assert float(rows[-1]["frobenius_error"]) < 1e-10
 
 
+def test_pushforward_convergence_in_a_ball_domain(tmp_path):
+    # the support box's corner (0.5, 0.5) lies inside the unit ball
+    cfg = {
+        "kind": "pushforward-convergence", "d": 2, "r": 1,
+        "map": "0.3*z1 + 0.1*z1*z2",
+        "base_point": [0.0, 0.0],
+        "domain": {"kind": "ball", "radius": 1.0},
+        "orders": {"m": 2, "n_sweep": [3, 4]},
+        "sampling": {"scheme": "halton", "N": 1000, "support_radii": [0.5, 0.5]},
+        "output_dir": str(tmp_path),
+    }
+    rows = _rows(run_experiment(cfg))
+    assert [row["status"] for row in rows] == ["ok"] * 2
+    assert float(rows[-1]["frobenius_error"]) < 1e-10
+
+
 def test_map_reconstruction_two_components(tmp_path):
     cfg = {
         "kind": "map-reconstruction", "d": 2, "r": 2,

@@ -162,9 +162,9 @@ def test_measure_radii():
     mu = MeasureSpec.uniform_box([0.0], [0.5])
     assert measure_radii(mu, dom) == pytest.approx((0.5, 1.0))
 
-    dom = DomainSpec.ball([0.0, 0.0], 1.0)
-    mu = MeasureSpec.uniform_ball([0.0, 0.0], 0.8)
-    assert measure_radii(mu, dom) == pytest.approx((0.8, 1.0))
+    dom = DomainSpec.ball([0.0, 0.0], 2.0)
+    mu = MeasureSpec.uniform_box([0.0, 0.0], [0.6, 0.8])
+    assert measure_radii(mu, dom) == pytest.approx((0.5, 1.0))
 
     dom = DomainSpec.box([0.0, 0.0], [1.0, 4.0])
     mu = MeasureSpec.uniform_box([0.0, 0.0], [0.5, 2.0])
