@@ -38,8 +38,8 @@ class QuadratureConvergenceError(JetflowError):
     """Quadrature failed to converge within the node budget."""
 
 
-class BlowupError(JetflowError):
-    """Flow integration left the resolvable range before the final time."""
+class BlowupError(JetflowError, OverflowError):
+    """A value left float64's range: a flow before its final time, or a map or its jet at a point."""
 
 
 class PrecisionError(JetflowError):

@@ -261,8 +261,8 @@ def _map_and_point(cfg: dict, r: int) -> tuple[MapExpr, np.ndarray]:
     return parse_map(cfg["map"], cfg["d"], r), np.array(cfg["base_point"], dtype=np.float64)
 
 
-def _map_samples(f: MapExpr, Z: np.ndarray, scheme: str, seed: int | None) -> SampleSet:
-    return SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance=scheme, seed=seed)
+def _map_samples(f: MapExpr, Z: np.ndarray) -> SampleSet:
+    return SampleSet(Z=Z, W=eval_map_batch(f, Z))
 
 
 def _grid_table(cfg: dict, p: np.ndarray, values: Callable,
@@ -312,7 +312,7 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
     for N in N_sweep:
         try:
             Z0 = draw_samples(measure, N, scheme, seed)
-            folded[N] = (fold_pushforward(p, q, m, n_max, _map_samples(f, p + Z0, scheme, seed)),
+            folded[N] = (fold_pushforward(p, q, m, n_max, _map_samples(f, p + Z0)),
                          moment_matrix(MeasureSpec.empirical(Z0), n_max))
         except JetflowError as exc:
             folded[N] = exc  # every row of this N carries it
@@ -355,7 +355,7 @@ def _run_map_reconstruction(cfg: dict) -> Table:
     measure, scheme, seed = _sampling_pieces(cfg)
     m, n = cfg["orders"]["m"], cfg["orders"]["n"]
     N = cfg["sampling"]["N"]
-    samples = _map_samples(f, p + draw_samples(measure, N, scheme, seed), scheme, seed)
+    samples = _map_samples(f, p + draw_samples(measure, N, scheme, seed))
     q = eval_map_batch(f, p[None, :])[0]
     est = estimate_pushforward(p, q, m, n, samples)
     header, rows, worst = _grid_table(
@@ -412,7 +412,7 @@ def _run_vectorfield_recovery(cfg: dict) -> Table:
     m, n = cfg["orders"]["m"], cfg["orders"]["n"]
     T, tol = cfg["flow"]["T"], cfg["flow"]["tol"]
     Z0 = draw_samples(measure, cfg["sampling"]["N"], scheme, seed)
-    samples = flow_sample_set(V, T, p + Z0, tol, provenance=scheme, seed=seed)
+    samples = flow_sample_set(V, T, p + Z0, tol)
     est = estimate_pushforward(p, p, m, n, samples)
     gen = estimate_generator(est, T)
     pencil_bound = bound_B(est.C_hat)

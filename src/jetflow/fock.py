@@ -45,20 +45,16 @@ class DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Paired sample points and their images."""
+    """Paired sample points and their images, as read-only copies: float64 if real, else complex128."""
 
     Z: np.ndarray
     W: np.ndarray
-    provenance: str
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=np.complex128))
-        W = np.atleast_2d(np.asarray(self.W, dtype=np.complex128))
+        Z, W = (np.atleast_2d(x).astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+                for x in (self.Z, self.W))
         if Z.shape[0] < 1 or W.shape[0] != Z.shape[0]:
             raise ValueError(f"need matching nonempty samples, got {Z.shape} and {W.shape}")
-        Z = Z.copy()
-        W = W.copy()
         Z.flags.writeable = False
         W.flags.writeable = False
         object.__setattr__(self, "Z", Z)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import MapSyntaxError, PoleError
+from .errors import BlowupError, MapSyntaxError, PoleError
 from .jets import Jet, constant_jet, jet_cos, jet_exp, jet_sin, variable_jet
 from .multiindex import graded_numbering
 
@@ -277,7 +277,8 @@ def _eval_scalar(node: Node, z: np.ndarray) -> complex:
 def eval_map(f: MapExpr, z) -> np.ndarray:
     """Evaluate f at a single point; returns a complex vector of length r.
 
-    A division by zero on the way raises PoleError: f has a pole at z.
+    A division by zero on the way raises PoleError: f has a pole at z; an
+    overflow raises BlowupError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if z.shape != (f.d,):
@@ -286,6 +287,8 @@ def eval_map(f: MapExpr, z) -> np.ndarray:
         return np.array([_eval_scalar(c, z) for c in f.components], dtype=np.complex128)
     except ZeroDivisionError:
         raise PoleError("division by zero: the map has a pole at the point") from None
+    except OverflowError:
+        raise BlowupError("the map's value overflows at the point") from None
 
 
 def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
@@ -308,14 +311,17 @@ def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
 
 
 def jet_of_map(f: MapExpr, p, order: int) -> list[Jet]:
-    """Order-`order` jets of the components of f about the point p."""
+    """Order-`order` jets of the components of f about the point p; an overflow raises BlowupError."""
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
     if p.shape != (f.d,):
         raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
     table = graded_numbering(f.d, order)
     env = [variable_jet(table, k + 1, base=p[k]) for k in range(f.d)]
     constant = partial(constant_jet, table)
-    return [_evaluate(c, env, constant, _JET_FUNCTIONS) for c in f.components]
+    try:
+        return [_evaluate(c, env, constant, _JET_FUNCTIONS) for c in f.components]
+    except OverflowError:
+        raise BlowupError("the map's jet overflows at the base point") from None
 
 
 def compose_maps(outer: MapExpr, inner: MapExpr) -> MapExpr:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimatorIllPosedError, NonPositiveDefiniteError
+from .errors import BlowupError, EstimatorIllPosedError, NonPositiveDefiniteError
 from .fock import SampleSet, feature_matrix_U, feature_matrix_V
 from .jets import jet_exp, variable_jet
 from .maps import MapExpr, jet_of_map
@@ -171,16 +171,12 @@ def fold_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardFol
     O(_BLOCK_ROWS * r_n) for any N; when p, q and all samples are real, every
     step runs in float64.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
+    p, q = np.atleast_1d(p), np.atleast_1d(q)
     if not 1 <= m <= n:
         raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
     d, r = p.shape[0], q.shape[0]
-    Z, W = samples.Z, samples.W
-    if not any(np.any(x.imag) for x in (p, q, Z, W)):
-        p, q, Z, W = p.real, q.real, Z.real, W.real  # real data: the solve runs in float64
-    blocks = (np.hstack([feature_matrix_U(p, n, Z[i:i + _BLOCK_ROWS]),
-                         feature_matrix_V(q, m, W[i:i + _BLOCK_ROWS])])
+    blocks = (np.hstack([feature_matrix_U(p, n, samples.Z[i:i + _BLOCK_ROWS]),
+                         feature_matrix_V(q, m, samples.W[i:i + _BLOCK_ROWS])])
               for i in range(0, len(samples), _BLOCK_ROWS))
     N, R = _triangular_factor(blocks, jet_dimension(d, n))
     return PushforwardFold(R=R, N=N, m=m, n=n, d=d, r=r)
@@ -210,8 +206,6 @@ def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    if p.shape != (f.d,):
-        raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
     table_E = graded_numbering(f.d, m)
     jets_f = jet_of_map(f, p, m)
     q = np.array([jf.coeffs[0] for jf in jets_f])
@@ -225,7 +219,10 @@ def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
 
     fac_E = np.array(table_E.factorials, dtype=np.float64)
     fac_F = np.array(graded_numbering(f.r, m).factorials, dtype=np.float64)
-    scale = math.exp((np.vdot(q, q).real - np.vdot(p, p).real) / 2)
+    try:
+        scale = math.exp((np.vdot(q, q).real - np.vdot(p, p).real) / 2)
+    except OverflowError:
+        raise BlowupError("the oracle's scale e^{(|q|^2 - |p|^2)/2} overflows") from None
     C = scale * np.sqrt(fac_E)[None, :] / np.sqrt(fac_F)[:, None] * np.conj(H)
     return OraclePushforward(C=C, jacobian=jac)
 

@@ -74,7 +74,7 @@ def pipeline_and_lsq_coefficients(g: MapExpr, X, m: int, n: int
         raise ValueError(f"map value at 0 must be real, got {g0}")
     Yg = eval_map_batch(g, X)[:, 0]
     # centered samples feed the feature pipeline; the constant is restored below
-    samples = SampleSet(Z=X, W=(Yg - g0)[:, None], provenance="lsq-equivalence")
+    samples = SampleSet(Z=X, W=(Yg - g0.real)[:, None])
     est = estimate_pushforward(np.zeros(d), np.zeros(1), m, n, samples)
     grad = basis_gradient_at_zero(np.zeros(1), m, 1)
     pulled = est.C_hat.conj().T @ np.conj(grad)  # feature coefficients of the pipeline map

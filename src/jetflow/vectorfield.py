@@ -42,6 +42,8 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
 
     # stepping the solver directly keeps the current state only, not every accepted step
     solver = DOP853(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
+    if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
+        raise BlowupError("vector field is not finite at the start points")
     message = None
     while solver.status == "running":
         message = solver.step()
@@ -57,21 +59,20 @@ def flow_map(V: MapExpr, T: float, z0, tol: float = 1e-10) -> np.ndarray:
     return flow_ensemble(V, T, z0[None, :], tol)[0]
 
 
-def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10,
-                    provenance: str = "flow", seed: int | None = None) -> SampleSet:
+def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10) -> SampleSet:
     """Pair sample points with their time-T flow images."""
     Z = np.atleast_2d(_real_points(Z, "start points"))
-    return SampleSet(Z=Z, W=flow_ensemble(V, T, Z, tol), provenance=provenance, seed=seed)
+    return SampleSet(Z=Z, W=flow_ensemble(V, T, Z, tol))
 
 
 def check_equilibrium(V: MapExpr, p, tol: float = 1e-12) -> None:
-    """Require V(p) = 0 up to tol; a pole of V at p is a ValueError too."""
+    """Require |V(p)| < tol; a pole of V at p or a non-finite V(p) is a ValueError too."""
     try:
         val = eval_map(V, p)
     except ZeroDivisionError:
         raise ValueError("base point is not an equilibrium: V has a pole there") from None
     worst = float(np.max(np.abs(val)))
-    if worst >= tol:
+    if not worst < tol:  # NaN fails too
         raise ValueError(f"base point is not an equilibrium: |V(p)| = {worst:.3e}")
 
 

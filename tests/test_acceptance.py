@@ -53,7 +53,7 @@ def report(capsys):
 
 def samples_for(f, p, Z0):
     Z = np.asarray(p, dtype=np.float64) + Z0
-    return SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    return SampleSet(Z=Z, W=eval_map_batch(f, Z))
 
 
 def random_poly_map(rng, d, deg=2, scale=0.4):

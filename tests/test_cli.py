@@ -192,6 +192,35 @@ def test_field_with_a_pole_at_the_base_point_exits_2(tmp_path, capsys):
                                  "reason": "base point is not an equilibrium: V has a pole there"}]
 
 
+def test_non_finite_field_at_the_base_point_exits_2(tmp_path, capsys):
+    cfg = fast_config("vectorfield-recovery")
+    cfg["map"] = "1e400*z1"  # inf * 0 = NaN at the base point
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "nan.json", cfg)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "config-invalid"
+    assert [issue["field"] for issue in record["issues"]] == ["base_point"]
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("lsq-equivalence", "map", "exp(z1+1000)"),  # g(0)
+    ("pushforward-convergence", "map", "exp(z1+1000)"),  # the oracle's jet
+    ("pushforward-convergence", "base_point", [1000.0]),  # the oracle's scale
+    ("vectorfield-recovery", "map", "exp(z1+1000)"),  # V(p)
+])
+def test_overflow_exits_1_with_a_blowup_record(tmp_path, capsys, kind, key, value):
+    cfg = fast_config(kind)
+    cfg[key] = value
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path / "overflow.json", cfg)
+    assert main(["run", path]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "pipeline-failure" and record["type"] == "BlowupError"
+
+
 def test_non_equilibrium_base_point_exits_2(tmp_path, capsys):
     cfg = fast_config("vectorfield-recovery")
     cfg["base_point"] = [0.5]  # -z + 0.2 z^2 does not vanish there

@@ -181,7 +181,10 @@ def test_measure_radii_rejects_escaping_support():
 def test_sample_set_validation():
     Z = np.zeros((4, 1))
     with pytest.raises(ValueError):
-        SampleSet(Z=Z, W=np.zeros((3, 1)), provenance="iid")
-    s = SampleSet(Z=Z, W=np.ones((4, 2)), provenance="grid")
+        SampleSet(Z=Z, W=np.zeros((3, 1)))
+    s = SampleSet(Z=Z, W=np.ones((4, 2)))
     assert len(s) == 4
-    assert s.Z.dtype == np.complex128
+    assert s.Z.dtype == np.float64 and s.W.dtype == np.float64
+    c = SampleSet(Z=Z + 0.5j, W=np.ones((4, 2)))
+    assert c.Z.dtype == np.complex128 and c.W.dtype == np.float64
+    assert not (c.Z.flags.writeable or c.W.flags.writeable)

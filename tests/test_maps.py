@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from jetflow.errors import MapSyntaxError
+from jetflow.errors import BlowupError, MapSyntaxError
 from jetflow.maps import (
     compose_maps,
     eval_map,
@@ -214,3 +214,11 @@ def test_batch_frees_its_points_without_the_cyclic_collector():
         assert points() is None
     finally:
         gc.enable()
+
+
+def test_overflow_at_a_point_raises_blowup_which_is_an_overflow_error():
+    f = parse_map("exp(z1 + 1000)", 1, 1)
+    for call in (lambda: eval_map(f, [0.0]), lambda: jet_of_map(f, [0.0], 3)):
+        with pytest.raises(BlowupError) as info:
+            call()
+        assert isinstance(info.value, OverflowError)

@@ -24,7 +24,7 @@ from jetflow.sampling import draw_samples, halton_points
 
 def samples_for(f, p, Z0):
     Z = np.asarray(p, dtype=np.float64) + Z0
-    return SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    return SampleSet(Z=Z, W=eval_map_batch(f, Z))
 
 
 def image_point(f, p):
@@ -92,8 +92,8 @@ def test_non_finite_samples_are_ill_posed():
     Z_nan, W_inf = Z.copy(), W.copy()
     Z_nan[4, 0] = np.nan
     W_inf[7, 0] = np.inf
-    for samples in (SampleSet(Z=Z_nan, W=W, provenance="test"),
-                    SampleSet(Z=Z, W=W_inf, provenance="test")):
+    for samples in (SampleSet(Z=Z_nan, W=W),
+                    SampleSet(Z=Z, W=W_inf)):
         with np.errstate(invalid="ignore"):
             with pytest.raises(EstimatorIllPosedError, match="non-finite"):
                 estimate_pushforward([0.0], [0.0], 2, 3, samples)
@@ -117,6 +117,12 @@ def test_oracle_identity_any_point():
     for p in ([0.0, 0.0], [0.7, -0.4]):
         o = oracle_pushforward(f, np.array(p), 3)
         assert np.abs(o.C - np.eye(jet_dimension(2, 3))).max() < 1e-12
+
+
+def test_oracle_rejects_a_base_point_of_the_wrong_length():
+    f = parse_map("z1; z2", 2, 2)
+    with pytest.raises(ValueError, match=r"base point has shape \(3,\), expected \(2,\)"):
+        oracle_pushforward(f, [0.0, 0.0, 0.0], 2)
 
 
 def test_oracle_linear_diagonal():
@@ -242,7 +248,7 @@ def test_oracle_at_complex_base_point_matches_complex_sample_estimate():
     q = eval_map_batch(f, p[None, :])[0]
     H = halton_points(20_000, 2)
     Z = p + 0.4 * (2 * H[:, :1] - 1) + 0.4j * (2 * H[:, 1:] - 1)
-    fold = fold_pushforward(p, q, 3, 9, SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test"))
+    fold = fold_pushforward(p, q, 3, 9, SampleSet(Z=Z, W=eval_map_batch(f, Z)))
     C = oracle_pushforward(f, p, 3).C
     err6, err9 = (np.linalg.norm(fold.estimate(n).C_hat - C) for n in (6, 9))
     assert err6 < 1e-5 and err9 < 1e-10 and err9 < 1e-4 * err6
@@ -314,7 +320,7 @@ def test_complex_blocked_estimate_matches_dense_lstsq():
     f = random_poly_map(rng, 2)
     N = 2 * _BLOCK_ROWS + 3
     Z = rng.uniform(-0.5, 0.5, (N, 2)) + 0.3j * rng.uniform(-0.5, 0.5, (N, 2))
-    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z))
     p, q, m, n = np.zeros(2), np.zeros(2), 2, 4
     U = feature_matrix_U(p, n, Z)
     V = feature_matrix_V(q, m, samples.W)
@@ -349,7 +355,7 @@ def test_complex_sample_points_match_oracle():
     rng = np.random.default_rng(6)
     f = random_poly_map(rng, 2)
     Z = rng.uniform(-0.5, 0.5, (400, 2)) + 0.3j * rng.uniform(-0.5, 0.5, (400, 2))
-    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    samples = SampleSet(Z=Z, W=eval_map_batch(f, Z))
     est = estimate_pushforward([0.0, 0.0], [0.0, 0.0], 2, 4, samples)
     o = oracle_pushforward(f, np.array([0.0, 0.0]), 2)
     assert np.abs(est.C_hat - o.C).max() < 1e-10

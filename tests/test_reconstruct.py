@@ -22,7 +22,7 @@ from jetflow.sampling import draw_samples
 
 def samples_for(f, p, Z0):
     Z = np.asarray(p, dtype=np.float64) + Z0
-    return SampleSet(Z=Z, W=eval_map_batch(f, Z), provenance="test")
+    return SampleSet(Z=Z, W=eval_map_batch(f, Z))
 
 
 def oracle_estimate(f, p, m, d=1):

@@ -73,10 +73,23 @@ def test_flow_blowup_detected():
         flow_map(V, 10.0, [1.0])
 
 
+def test_non_finite_field_at_the_start_points_raises_blowup():
+    # 1e400 parses to inf: V is inf at 0.3 and inf * 0 = NaN at 0, where
+    # DOP853's first step size is NaN and its step loop would never end
+    V = parse_map("1e400*z1", 1, 1)
+    with pytest.raises(BlowupError, match="not finite"):
+        flow_ensemble(V, 0.1, [[0.3], [0.0]])
+
+
+def test_non_finite_field_is_no_equilibrium():
+    with pytest.raises(ValueError, match="nan"):
+        check_equilibrium(parse_map("1e400*z1", 1, 1), [0.0])
+
+
 def test_flow_sample_set_provenance():
     V = parse_map("-z1", 1, 1)
     Z = np.linspace(-0.3, 0.3, 5)[:, None]
-    s = flow_sample_set(V, 0.2, Z, 1e-10, provenance="grid")
+    s = flow_sample_set(V, 0.2, Z, 1e-10)
     assert len(s) == 5
     assert np.allclose(s.W, Z * math.exp(-0.2), atol=1e-9)
 
