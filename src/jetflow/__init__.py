@@ -4,6 +4,7 @@ from .errors import (
     BlowupError,
     ConfigError,
     EstimatorIllPosedError,
+    InputError,
     JetflowError,
     MapSyntaxError,
     NonPositiveDefiniteError,

@@ -42,6 +42,10 @@ class BlowupError(JetflowError, OverflowError):
     """A value left float64's range: a flow before its final time, or a map or its jet at a point."""
 
 
+class InputError(JetflowError, ValueError):
+    """An argument outside the range a function accepts: a sample count, scheme, seed or dimension."""
+
+
 class PrecisionError(JetflowError):
     """Requested computation is not certifiable at this precision; retry with more bits."""
 

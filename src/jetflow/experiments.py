@@ -322,11 +322,12 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
               "rate_bound", "smallest_kept_sv", "status"]
     rows: list[list] = []
     errors: list[float] = []
+    memo: dict = {}  # the sweep's leading tables share exact blocks: certify each once
     for n in n_sweep:
         k = jet_dimension(f.d, n)
         leading = [row[:k] for row in exact_rows[:k]]
         D_mu = np.array(leading, dtype=np.float64)  # float() of each entry, as exact=False gives
-        lam = float(smallest_eigenvalue(leading, 256).Lambda)
+        lam = float(smallest_eigenvalue(leading, 256, memo=memo).Lambda)
         for N in N_sweep:
             try:
                 if isinstance(folded[N], JetflowError):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import PrecisionError
@@ -189,6 +188,8 @@ def _blocks(rows: list[list[Fraction]]) -> list[list[int]]:
 
 def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
     """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue."""
+    import mpmath
+
     with mpmath.workprec(precision_bits):
         M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
         lam = min(mpmath.eigsy(M, eigvals_only=True))
@@ -209,7 +210,7 @@ def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
     return lam
 
 
-def smallest_eigenvalue(D, precision_bits: int = 256) -> HankelSpectrum:
+def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = None) -> HankelSpectrum:
     """Certified smallest eigenvalue of a real symmetric matrix of size n + 1.
 
     D is nested lists or any ndarray (an object array of Fractions, say), read
@@ -228,6 +229,14 @@ def smallest_eigenvalue(D, precision_bits: int = 256) -> HankelSpectrum:
     positive semidefinite block, whose value is 0.  Otherwise PrecisionError
     asks for more bits; every block is certified, and nothing uncertified is
     returned.
+
+    `memo`, when given, maps (precision_bits, a block's exact entries) to its
+    certified value: a block already in it is not certified again, and each
+    newly certified block is added.  A sweep over n passes one memo to all its
+    calls, because the leading blocks of one table repeat whole exact blocks
+    from one n to the next (on a box centred at 0, growing n grows only some
+    parity blocks).  The key holds every entry, so equal keys mean equal
+    blocks, and the value is the one a call without the memo returns.
     """
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
@@ -241,15 +250,30 @@ def smallest_eigenvalue(D, precision_bits: int = 256) -> HankelSpectrum:
     if any(raw_rows[i][j] != raw_rows[j][i] for i in range(size) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     rows = [[_fraction(x) for x in row] for row in raw_rows]
-    lam = min(_certified_smallest([[rows[i][j] for j in block] for i in block], precision_bits)
-              for block in _blocks(rows))
-    return HankelSpectrum(n=size - 1, Lambda=lam, precision_bits=precision_bits, certified=True)
+    memo = {} if memo is None else memo
+    values = []
+    for block in _blocks(rows):
+        block_rows = [[rows[i][j] for j in block] for i in block]
+        # a block is square, so its entries in row order (as exact integer pairs) fix it
+        key = (precision_bits, tuple((x.numerator, x.denominator) for row in block_rows for x in row))
+        lam = memo.get(key)
+        if lam is None:
+            lam = memo[key] = _certified_smallest(block_rows, precision_bits)
+        values.append(lam)
+    return HankelSpectrum(n=size - 1, Lambda=min(values), precision_bits=precision_bits, certified=True)
 
 
 def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[HankelSpectrum]:
-    """Certified smallest eigenvalues of the leading blocks, n = 0..n_max, of one interval Hankel table."""
+    """Certified smallest eigenvalues of the leading blocks, n = 0..n_max, of one interval Hankel table.
+
+    The n calls share one memo, so each distinct exact block is certified
+    once: at a = 0 the n_max + 1 tables hold 2 n_max + 1 parity blocks of
+    which n_max + 1 are distinct, while an off-centre table is one dense
+    block that grows with every n, so nothing repeats.
+    """
     table = lebesgue_hankel(a, r, n_max)
-    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits)
+    memo: dict = {}
+    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits, memo=memo)
             for n in range(n_max + 1)]
 
 
@@ -267,6 +291,8 @@ def sigma(a: float, r: float) -> float:
 
 def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[tuple[int, float]]:
     """Observed decay rates -log(lambda_n)/(2n+2) for n = 0..n_max."""
+    import mpmath
+
     rates = []
     for spec in hankel_spectrum_sweep(a, r, n_max, precision_bits):
         with mpmath.workprec(precision_bits):
@@ -278,6 +304,8 @@ def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) 
 def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
                           precision_bits: int = 256) -> float:
     """Product of per-axis interval Hankel eigenvalues; a floor for the box spectrum."""
+    import mpmath
+
     center, radii = _body_args(p, radii=radii)
     with mpmath.workprec(precision_bits):
         prod = mpmath.mpf(1)

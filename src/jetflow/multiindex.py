@@ -93,15 +93,18 @@ def graded_numbering(d: int, n: int) -> MultiIndexTable:
 def graded_powers(X, n: int) -> np.ndarray:
     """N x r_n matrix of the monomials x^alpha of the rows of X, in graded order and X's dtype.
 
-    Column alpha is column (alpha - e_k) times x_k: one multiply per column, one array.
-    X may be an object array of jets: the columns are then the jet powers (column
-    0 holds the integer 1), as the push-forward oracle uses them.
+    Column alpha is column (alpha - e_k) times x_k: one multiply per column, one
+    array.  The array is column-major (order "F"), so each multiply writes one
+    contiguous column, and a feature block built from it is already in the
+    column order that LAPACK's QR and BLAS read.  X may be an object array of
+    jets: the columns are then the jet powers (column 0 holds the integer 1),
+    as the push-forward oracle uses them.
     """
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"expected an (N, d) array, got shape {X.shape}")
     table = graded_numbering(X.shape[1], n)
-    out = np.empty((X.shape[0], len(table)), dtype=X.dtype)
+    out = np.empty((X.shape[0], len(table)), dtype=X.dtype, order="F")
     out[:, 0] = 1
     for i, (j, k) in enumerate(table.parents, start=1):
         np.multiply(out[:, j], X[:, k], out=out[:, i])

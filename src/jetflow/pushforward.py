@@ -52,24 +52,35 @@ _PANEL_COLS = 8
 def _triangular_factor(blocks, r: int):
     """(N, R): the row count of the stacked row `blocks` and their R-only QR factor.
 
-    Each block is stacked under the factor so far and refactored by LAPACK's
-    recursive Householder QR, xGEQRT (Elmroth and Gustavson 2000), in panels
-    of _PANEL_COLS columns (sequential TSQR).  R is the min(N, columns) x
+    A block is a tuple of 2-D column pieces with equal row counts that stand
+    side by side (U and V, say).  Each block is written under the factor so far
+    into one column-major work array owned here, which LAPACK's recursive
+    Householder QR, xGEQRT (Elmroth and Gustavson 2000), refactors in place in
+    panels of _PANEL_COLS columns (sequential TSQR): no stacked copy is made,
+    and no array the caller passed is written to.  R is the min(N, columns) x
     columns upper triangle, or 0 x r when no block has a row.
     """
     # scipy.linalg loads here, not at import: `import jetflow` stays light for runs that never estimate
     from scipy.linalg import get_lapack_funcs
 
     N, R = 0, np.empty((0, r))
-    for block in blocks:
-        if len(block) == 0:
+    for pieces in blocks:
+        rows, k = pieces[0].shape[0], R.shape[0]
+        if rows == 0:
             continue  # xGEQRT takes no empty matrix
-        a = block if N == 0 else np.vstack([R, block])
-        N += len(block)
-        geqrt, = get_lapack_funcs(("geqrt",), (a,))
-        k = min(a.shape)
-        a, _, _ = geqrt(min(_PANEL_COLS, k), a)
-        R = np.triu(a[:k])
+        work = np.empty((k + rows, sum(x.shape[1] for x in pieces)),
+                        dtype=np.result_type(R, *pieces), order="F")
+        if k:
+            work[:k] = R
+        col = 0
+        for x in pieces:
+            work[k:, col:col + x.shape[1]] = x
+            col += x.shape[1]
+        N += rows
+        geqrt, = get_lapack_funcs(("geqrt",), (work,))
+        size = min(work.shape)
+        a, _, _ = geqrt(min(_PANEL_COLS, size), work, overwrite_a=True)
+        R = np.triu(a[:size])
     return N, R
 
 
@@ -104,8 +115,9 @@ def _leading_fit(N: int, R: np.ndarray, k: int, r: int, name: str):
 def rank_checked_lstsq(blocks, r: int, name: str):
     """Least-squares solution (X, s, rcond) of L X = R for an N x r matrix L of full column rank.
 
-    `blocks` yields row blocks of [L | R], folded by `_triangular_factor`
-    (recursive Householder QR, xGEQRT, in panels of _PANEL_COLS = 8 columns)
+    `blocks` yields row blocks of [L | R], each a tuple of column pieces,
+    folded by `_triangular_factor` (recursive Householder QR, xGEQRT,
+    in panels of _PANEL_COLS = 8 columns, in a work array of its own)
     into [L | R] = Q [[T, T_R], [0, *]], and `_leading_fit` solves
     X = L^+ R = T^-1 T_R with its rank check on all r columns.
     """
@@ -175,8 +187,8 @@ def fold_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardFol
     if not 1 <= m <= n:
         raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
     d, r = p.shape[0], q.shape[0]
-    blocks = (np.hstack([feature_matrix_U(p, n, samples.Z[i:i + _BLOCK_ROWS]),
-                         feature_matrix_V(q, m, samples.W[i:i + _BLOCK_ROWS])])
+    blocks = ((feature_matrix_U(p, n, samples.Z[i:i + _BLOCK_ROWS]),
+               feature_matrix_V(q, m, samples.W[i:i + _BLOCK_ROWS]))
               for i in range(0, len(samples), _BLOCK_ROWS))
     N, R = _triangular_factor(blocks, jet_dimension(d, n))
     return PushforwardFold(R=R, N=N, m=m, n=n, d=d, r=r)

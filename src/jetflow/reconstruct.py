@@ -50,7 +50,7 @@ def truncated_lsq(X, Y, m: int, n: int) -> np.ndarray:
         raise ValueError(f"{X.shape[0]} points but {Y.shape[0]} values")
     A = monomial_design(X, n)
     # one real solve for both parts of Y
-    C, _, _ = rank_checked_lstsq([np.column_stack([A, Y.real, Y.imag])], A.shape[1],
+    C, _, _ = rank_checked_lstsq([(A, Y.real[:, None], Y.imag[:, None])], A.shape[1],
                                  "monomial design matrix")
     coeff = C[:, 0] + 1j * C[:, 1]
     return coeff[: jet_dimension(X.shape[1], m)]

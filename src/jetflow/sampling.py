@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 
+from .errors import InputError
 from .hankel import MeasureSpec
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
@@ -27,7 +28,7 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
 def halton_points(N: int, d: int) -> np.ndarray:
     """First N Halton points in (0,1)^d, indices starting at 1."""
     if d > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+        raise InputError(f"halton supports up to {len(_PRIMES)} dimensions")
     indices = np.arange(1, N + 1)
     return np.column_stack([_radical_inverse(indices, _PRIMES[k]) for k in range(d)])
 
@@ -62,14 +63,18 @@ def draw_samples(measure: MeasureSpec, N: int, scheme: str, seed: int | None = N
     """Draw N real points from the support of the measure.
 
     iid uses a seeded counter-based generator; grid and halton are
-    deterministic and ignore the seed.
+    deterministic and ignore the seed.  Arguments out of range (N < 1, an
+    unknown scheme, an empirical measure, a negative iid seed, halton above
+    20 dimensions) raise InputError, a JetflowError and a ValueError.
     """
     if N < 1:
-        raise ValueError(f"need at least one sample, got N={N}")
+        raise InputError(f"need at least one sample, got N={N}")
     if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
+        raise InputError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
     if measure.kind == "empirical":
-        raise ValueError("cannot draw fresh samples from an empirical measure")
+        raise InputError("cannot draw fresh samples from an empirical measure")
+    if scheme == "iid" and isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InputError(f"iid seed must be nonnegative, got {seed}")
     d = measure.d
     center = np.array(measure.center, dtype=np.float64)
     radii = np.array(measure.radii, dtype=np.float64)

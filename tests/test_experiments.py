@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import jetflow
-from jetflow import experiments
+from jetflow import experiments, hankel
 from jetflow.experiments import KINDS, demo_config, run_experiment
 
 
@@ -118,12 +118,41 @@ def test_sweep_draws_once_per_N(tmp_path, monkeypatch):
     assert all(row["status"] == "ok" for row in rows)
 
 
+def test_convergence_sweep_certifies_each_distinct_block_once(tmp_path, monkeypatch):
+    # n = 3..8 on a box centred at 0: 12 parity-block certificates, of which 7 are
+    # distinct; a second run certifies all 7 again, so no certificate outlives its sweep
+    sizes = []
+    certify = hankel._certified_smallest
+
+    def counted(rows, precision_bits):
+        sizes.append(len(rows))
+        return certify(rows, precision_bits)
+
+    monkeypatch.setattr(hankel, "_certified_smallest", counted)
+    cfg = {**demo_config("pushforward-convergence"), "output_dir": str(tmp_path)}
+    csv_path = Path(run_experiment(cfg)["csv"])
+    assert sizes == [2, 2, 3, 3, 4, 4, 5]
+    text = csv_path.read_text()
+    run_experiment(cfg)
+    assert len(sizes) == 14 and csv_path.read_text() == text
+
+
+def test_bad_draw_is_an_error_row(tmp_path):
+    # validate_config rejects a negative iid seed; the runner itself records the
+    # draw's InputError in every row of that N
+    cfg = _sweep_config(tmp_path, [3, 4], [200], "iid")
+    cfg["sampling"]["seed"] = -1
+    _, rows, summary = experiments._run_pushforward_convergence(cfg)
+    assert [row[-1] for row in rows] == ["error:InputError"] * 2
+    assert summary["rows_ok"] == 0
+
+
 def test_import_and_validate_leave_scipy_submodules_unloaded():
     code = ("import sys, jetflow\n"
             "from jetflow.experiments import KINDS, demo_config, validate_config\n"
             "for kind in KINDS:\n"
             "    assert not validate_config(demo_config(kind))\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))\n")
+            "print(sorted(m for m in ('mpmath', 'scipy.integrate', 'scipy.linalg') if m in sys.modules))\n")
     src = str(Path(jetflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

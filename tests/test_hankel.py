@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from jetflow import hankel
 from jetflow.errors import PrecisionError
 from jetflow.hankel import (
     MeasureSpec,
@@ -282,6 +283,53 @@ def test_sweep_equals_each_order_on_its_own():
     assert [s.n for s in specs] == list(range(13))
     for n, spec in enumerate(specs):
         assert spec.Lambda == smallest_eigenvalue(lebesgue_hankel(0.3, 0.7, n)).Lambda
+
+
+def _count_certificates(monkeypatch) -> list[int]:
+    """Sizes of the blocks that hankel._certified_smallest certifies from now on."""
+    sizes = []
+    certify = hankel._certified_smallest
+
+    def counted(rows, precision_bits):
+        sizes.append(len(rows))
+        return certify(rows, precision_bits)
+
+    monkeypatch.setattr(hankel, "_certified_smallest", counted)
+    return sizes
+
+
+def test_centred_sweep_certifies_each_distinct_block_once(monkeypatch):
+    # at a = 0, n = 1..20 hold an even and an odd parity block and grow only one
+    # of them: 41 blocks over the sweep, 21 of them distinct
+    sizes = _count_certificates(monkeypatch)
+    specs = hankel_spectrum_sweep(0.0, 1.0, 20)
+    assert sizes == [1] + [n // 2 + 1 for n in range(1, 21)]
+    sizes.clear()
+    for n in (0, 1, 7, 20):
+        assert specs[n].Lambda == smallest_eigenvalue(lebesgue_hankel(0.0, 1.0, n)).Lambda
+    assert len(sizes) == 1 + 2 + 2 + 2
+
+
+def test_off_centre_sweep_repeats_no_block(monkeypatch):
+    # a dense table grows its one block with every n: one certificate per n, as without a memo
+    sizes = _count_certificates(monkeypatch)
+    hankel_spectrum_sweep(0.3, 0.7, 8)
+    assert sizes == list(range(1, 10))
+
+
+def test_shared_memo_gives_each_matrix_its_own_value(monkeypatch):
+    # same size and zero pattern, different entries; the memo must tell them apart,
+    # and the same matrix at another precision too
+    A, B = lebesgue_hankel(0.0, 1.0, 4), lebesgue_hankel(0.0, 0.5, 4)
+    alone = [smallest_eigenvalue(A).Lambda, smallest_eigenvalue(B).Lambda,
+             smallest_eigenvalue(A, 64).Lambda]
+    sizes = _count_certificates(monkeypatch)
+    memo = {}
+    shared = [smallest_eigenvalue(A, memo=memo).Lambda, smallest_eigenvalue(B, memo=memo).Lambda,
+              smallest_eigenvalue(A, 64, memo=memo).Lambda]
+    assert shared == alone and len(set(alone)) == 3
+    assert len(sizes) == len(memo) == 6
+    assert smallest_eigenvalue(B, memo=memo).Lambda == alone[1] and len(sizes) == 6
 
 
 def test_interlacing_sweep():

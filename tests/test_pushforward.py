@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 from jetflow.errors import EstimatorIllPosedError, NonPositiveDefiniteError
 from jetflow.fock import SampleSet, basis_u, basis_v, feature_matrix_U, feature_matrix_V
@@ -11,6 +12,7 @@ from jetflow.maps import compose_maps, eval_map_batch, parse_map
 from jetflow.multiindex import graded_numbering, jet_dimension
 from jetflow.pushforward import (
     _BLOCK_ROWS,
+    _PANEL_COLS,
     _triangular_factor,
     estimate_pushforward,
     fold_pushforward,
@@ -341,13 +343,66 @@ def test_factor_wider_than_a_panel(imag):
     U = feature_matrix_U(np.zeros(2), 6, Z)
     A = np.hstack([U, feature_matrix_V(np.zeros(2), 3, eval_map_batch(f, Z))])
     assert A.shape == (N, 38) and A.dtype == (np.complex128 if imag else np.float64)
-    rows, R = _triangular_factor((A[i:i + _BLOCK_ROWS] for i in range(0, N, _BLOCK_ROWS)), 28)
+    rows, R = _triangular_factor(((A[i:i + _BLOCK_ROWS],) for i in range(0, N, _BLOCK_ROWS)), 28)
     assert rows == N and R.shape == (38, 38) and np.array_equal(R, np.triu(R))
     gram = A.conj().T @ A
     assert np.abs(R.conj().T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
     s = np.linalg.svd(R[:28, :28], compute_uv=False)
     s_U = np.linalg.svd(U, compute_uv=False)
     assert np.abs(s - s_U).max() <= 1e-12 * s_U[0]
+
+
+def _stacked_factor(blocks):
+    """The R factor folded as before the work array: stacked copies, xGEQRT on a copy."""
+    R = None
+    for block in blocks:
+        a = block if R is None else np.vstack([R, block])
+        geqrt, = get_lapack_funcs(("geqrt",), (a,))
+        a, _, _ = geqrt(min(_PANEL_COLS, min(a.shape)), a)
+        R = np.triu(a[:min(a.shape)])
+    return R
+
+
+@pytest.mark.parametrize("p_imag", [0.0, 0.2])
+def test_fold_equals_the_stacked_fold_bit_for_bit(p_imag):
+    # real p folds through dgeqrt, complex p through zgeqrt; both as the stacked copies did
+    rng = np.random.default_rng(12)
+    f = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
+    p = np.array([0.1, -0.2])
+    if p_imag:
+        p = p + 1j * p_imag * np.array([1.0, -0.5])
+    m, n, N = 2, 5, 2 * _BLOCK_ROWS + 7
+    samples = samples_for(f, p.real, rng.uniform(-0.4, 0.4, (N, 2)))
+    q = eval_map_batch(f, p[None, :])[0]
+    fold = fold_pushforward(p, q, m, n, samples)
+    assert fold.R.dtype == (np.complex128 if p_imag else np.float64)
+    U, V = feature_matrix_U(p, n, samples.Z), feature_matrix_V(q, m, samples.W)
+    A = np.hstack([U, V])
+    assert np.array_equal(fold.R, _stacked_factor(A[i:i + _BLOCK_ROWS] for i in range(0, N, _BLOCK_ROWS)))
+    r_m = jet_dimension(2, m)
+    ref = np.linalg.lstsq(U, V, rcond=None)[0].conj().T[:, :r_m]
+    assert np.linalg.norm(fold.estimate(n).C_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_fold_leaves_the_callers_arrays_unchanged():
+    # xGEQRT overwrites its input: only the fold's own work array may be written
+    rng = np.random.default_rng(13)
+    f = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
+    samples = samples_for(f, [0.0, 0.0], rng.uniform(-0.4, 0.4, (_BLOCK_ROWS + 5, 2)))
+    Z, W = samples.Z.copy(), samples.W.copy()
+    fold_pushforward([0.0, 0.0], [0.0, 0.0], 2, 4, samples)
+    assert np.array_equal(samples.Z, Z) and np.array_equal(samples.W, W)
+    # column-major float64 blocks are what xGEQRT could take without a copy; the
+    # first block too, with no factor above it
+    blocks = [np.asfortranarray(rng.standard_normal((40, 6))) for _ in range(3)]
+    kept = [b.copy() for b in blocks]
+    X, s, _ = rank_checked_lstsq([(b,) for b in blocks], 4, "x")
+    assert all(np.array_equal(b, k) for b, k in zip(blocks, kept))
+    # a block split into column pieces folds as its whole columns
+    pieces = [(b[:, :4], b[:, 4:]) for b in blocks]
+    X2, s2, _ = rank_checked_lstsq(pieces, 4, "x")
+    assert np.array_equal(X, X2) and np.array_equal(s, s2)
+    assert all(np.array_equal(b, k) for b, k in zip(blocks, kept))
 
 
 def test_complex_sample_points_match_oracle():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jetflow.errors import InputError, JetflowError
 from jetflow.hankel import MeasureSpec, moment_matrix
 from jetflow.pushforward import gamma_check
 from jetflow.sampling import draw_samples, halton_points
@@ -122,3 +123,16 @@ def test_grid_subset_is_point_symmetric(measure):
 def test_halton_rejects_more_than_20_dimensions(measure):
     with pytest.raises(ValueError, match="up to 20 dimensions"):
         draw_samples(measure, 4, "halton")
+
+
+@pytest.mark.parametrize("measure, N, scheme, seed", [
+    (MeasureSpec.uniform_box([0.0], [1.0]), 0, "iid", None),
+    (MeasureSpec.uniform_box([0.0], [1.0]), 10, "sobol", None),
+    (MeasureSpec.empirical(np.zeros((2, 1))), 5, "iid", None),
+    (MeasureSpec.uniform_box([0.0], [1.0]), 5, "iid", -1),
+    (MeasureSpec.uniform_box([0.0] * 21, [1.0] * 21), 4, "halton", None),
+], ids=["N=0", "unknown-scheme", "empirical", "negative-seed", "halton-d21"])
+def test_bad_draw_raises_input_error(measure, N, scheme, seed):
+    with pytest.raises(InputError) as info:
+        draw_samples(measure, N, scheme, seed)
+    assert isinstance(info.value, JetflowError) and isinstance(info.value, ValueError)
