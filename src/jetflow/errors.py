@@ -43,7 +43,7 @@ class BlowupError(JetflowError, OverflowError):
 
 
 class InputError(JetflowError, ValueError):
-    """An argument outside the range a function accepts: a sample count, scheme, seed or dimension."""
+    """An argument outside the range a function accepts: a sample count, scheme, seed, dimension, time or shape."""
 
 
 class PrecisionError(JetflowError):

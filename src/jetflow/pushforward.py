@@ -38,14 +38,13 @@ def default_rcond(N: int, r_n: int) -> float:
 # sample draw (a flow, say) left behind
 _BLOCK_ROWS = 4096
 
-# Column panel of the xGEQRT fold.  Narrow panels keep every BLAS call small
-# enough for OpenBLAS to run it on the calling thread; a second thread fights
-# for the core where numpy's BLAS thread still spins after a flow.  Estimate on
-# the flow-d2 samples (N = 1e5, 38 columns) right after their flow, 2-core
-# x86_64, 2 BLAS threads, median of 10: panel 8 0.051-0.060 s, panel 4 about
-# the same, panel 16 or 32 0.14 s, xGEQRF (np.linalg.qr) 0.114-0.122 s, and
-# panel 8 with 8 192-row blocks 0.123 s.  With 1 thread: 0.047-0.051 s
-# against 0.077 s for xGEQRF
+# Column panel of the xGEQRT fold.  The fold runs on one thread (see
+# `_triangular_factor`), where the width matters little: folding the flow-d2
+# samples (N = 1e5, 38 columns) right after their flow, 2-core x86_64, median
+# of 7: panel 4 0.043 s, 8 0.042 s, 16 0.045 s, 32 0.048 s (xGEQRF,
+# np.linalg.qr, took 0.077 s in an earlier one-thread run).  8 was chosen
+# when the fold ran on 2 threads, where panels of 16 or 32 took 0.14 s;
+# re-measure it with _BLOCK_ROWS
 _PANEL_COLS = 8
 
 
@@ -57,30 +56,35 @@ def _triangular_factor(blocks, r: int):
     into one column-major work array owned here, which LAPACK's recursive
     Householder QR, xGEQRT (Elmroth and Gustavson 2000), refactors in place in
     panels of _PANEL_COLS columns (sequential TSQR): no stacked copy is made,
-    and no array the caller passed is written to.  R is the min(N, columns) x
-    columns upper triangle, or 0 x r when no block has a row.
+    and no array the caller passed is written to.  The blocks are built and
+    folded on the calling thread (`_blas.calling_thread`), so R is the same
+    at any BLAS thread count.  R is the min(N, columns) x columns upper
+    triangle, or 0 x r when no block has a row.
     """
     # scipy.linalg loads here, not at import: `import jetflow` stays light for runs that never estimate
     from scipy.linalg import get_lapack_funcs
 
+    from ._blas import calling_thread
+
     N, R = 0, np.empty((0, r))
-    for pieces in blocks:
-        rows, k = pieces[0].shape[0], R.shape[0]
-        if rows == 0:
-            continue  # xGEQRT takes no empty matrix
-        work = np.empty((k + rows, sum(x.shape[1] for x in pieces)),
-                        dtype=np.result_type(R, *pieces), order="F")
-        if k:
-            work[:k] = R
-        col = 0
-        for x in pieces:
-            work[k:, col:col + x.shape[1]] = x
-            col += x.shape[1]
-        N += rows
-        geqrt, = get_lapack_funcs(("geqrt",), (work,))
-        size = min(work.shape)
-        a, _, _ = geqrt(min(_PANEL_COLS, size), work, overwrite_a=True)
-        R = np.triu(a[:size])
+    with calling_thread():
+        for pieces in blocks:
+            rows, k = pieces[0].shape[0], R.shape[0]
+            if rows == 0:
+                continue  # xGEQRT takes no empty matrix
+            work = np.empty((k + rows, sum(x.shape[1] for x in pieces)),
+                            dtype=np.result_type(R, *pieces), order="F")
+            if k:
+                work[:k] = R
+            col = 0
+            for x in pieces:
+                work[k:, col:col + x.shape[1]] = x
+                col += x.shape[1]
+            N += rows
+            geqrt, = get_lapack_funcs(("geqrt",), (work,))
+            size = min(work.shape)
+            a, _, _ = geqrt(min(_PANEL_COLS, size), work, overwrite_a=True)
+            R = np.triu(a[:size])
     return N, R
 
 

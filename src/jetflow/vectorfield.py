@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, QuadratureConvergenceError, SpectrumError
+from .errors import BlowupError, InputError, QuadratureConvergenceError, SpectrumError
 # perfbench/tracer.py wraps basis_gradient_at_zero under this module's name
 from .fock import SampleSet, _real_points, basis_gradient_at_zero  # noqa: F401
 from .maps import MapExpr, eval_map, eval_map_batch
@@ -31,22 +31,27 @@ def _field_rhs(V: MapExpr, d: int):
 def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     """Flow all rows of Z0 forward by time T with the adaptive DOP853 (8(5,3)) step."""
     if V.r != V.d:
-        raise ValueError(f"vector field must be square, got d={V.d}, r={V.r}")
+        raise InputError(f"vector field must be square, got d={V.d}, r={V.r}")
     if T <= 0:
-        raise ValueError(f"flow time must be positive, got {T}")
+        raise InputError(f"flow time must be positive, got {T}")
     Z0 = np.atleast_2d(_real_points(Z0, "start points"))
     if Z0.shape[1] != V.d:
-        raise ValueError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
+        raise InputError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
     # scipy's submodules load here, not at import: `import jetflow` stays light for runs that never flow
     from scipy.integrate import DOP853
 
-    # stepping the solver directly keeps the current state only, not every accepted step
-    solver = DOP853(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
-    if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
-        raise BlowupError("vector field is not finite at the start points")
-    message = None
-    while solver.status == "running":
-        message = solver.step()
+    from ._blas import calling_thread
+
+    # the stage sums and error norms over all N rows run on the calling thread,
+    # so the state does not depend on the BLAS thread count
+    with calling_thread():
+        # stepping the solver directly keeps the current state only, not every accepted step
+        solver = DOP853(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
+        if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
+            raise BlowupError("vector field is not finite at the start points")
+        message = None
+        while solver.status == "running":
+            message = solver.step()
     if solver.status != "finished" or not np.isfinite(solver.y).all():
         raise BlowupError(f"flow left the resolvable range before t={T}: "
                           f"{message or 'non-finite state'}")
@@ -66,14 +71,14 @@ def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10) -> SampleSet:
 
 
 def check_equilibrium(V: MapExpr, p, tol: float = 1e-12) -> None:
-    """Require |V(p)| < tol; a pole of V at p or a non-finite V(p) is a ValueError too."""
+    """Require |V(p)| < tol, else InputError; a pole of V at p or a non-finite V(p) fails too."""
     try:
         val = eval_map(V, p)
     except ZeroDivisionError:
-        raise ValueError("base point is not an equilibrium: V has a pole there") from None
+        raise InputError("base point is not an equilibrium: V has a pole there") from None
     worst = float(np.max(np.abs(val)))
     if not worst < tol:  # NaN fails too
-        raise ValueError(f"base point is not an equilibrium: |V(p)| = {worst:.3e}")
+        raise InputError(f"base point is not an equilibrium: |V(p)| = {worst:.3e}")
 
 
 def matrix_log(C: np.ndarray, quad_tol: float = 1e-12, max_nodes: int = 4096) -> np.ndarray:
@@ -84,7 +89,7 @@ def matrix_log(C: np.ndarray, quad_tol: float = 1e-12, max_nodes: int = 4096) ->
     """
     C = np.asarray(C)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {C.shape}")
+        raise InputError(f"expected a square matrix, got shape {C.shape}")
     scale = max(1.0, float(np.abs(C).max()))
     eigs = np.linalg.eigvals(C)
     on_axis = (eigs.real <= 1e-12 * scale) & (np.abs(eigs.imag) <= 1e-12 * scale)
@@ -118,7 +123,7 @@ def matrix_log(C: np.ndarray, quad_tol: float = 1e-12, max_nodes: int = 4096) ->
 def bound_B(C: np.ndarray, grid: int = 101) -> float:
     """sup over t in [0,1] of the operator norm of (I + t(C - I))^{-1}, on a grid."""
     if grid < 1:
-        raise ValueError(f"grid must be positive, got {grid}")
+        raise InputError(f"grid must be positive, got {grid}")
     C = np.asarray(C)
     E = C - np.eye(C.shape[0], dtype=C.dtype)
     eye = np.eye(C.shape[0])
@@ -145,10 +150,10 @@ def estimate_generator(estimate: PushforwardEstimate, T: float,
                        quad_tol: float = 1e-12) -> GeneratorEstimate:
     """A_hat = log(C_hat)/T, with the exp-log residual recorded."""
     if T <= 0:
-        raise ValueError(f"flow time must be positive, got {T}")
+        raise InputError(f"flow time must be positive, got {T}")
     C = estimate.C_hat
     if C.shape[0] != C.shape[1]:
-        raise ValueError(f"push-forward block must be square, got {C.shape}")
+        raise InputError(f"push-forward block must be square, got {C.shape}")
     from scipy.linalg import expm
 
     L = matrix_log(C, quad_tol=quad_tol)

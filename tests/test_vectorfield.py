@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from jetflow import vectorfield
-from jetflow.errors import BlowupError, QuadratureConvergenceError, SpectrumError
+from jetflow.errors import BlowupError, InputError, QuadratureConvergenceError, SpectrumError
 from jetflow.hankel import MeasureSpec
 from jetflow.maps import eval_map_batch, parse_map
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
@@ -99,6 +99,32 @@ def test_check_equilibrium():
     check_equilibrium(V, [0.0])
     with pytest.raises(ValueError):
         check_equilibrium(V, [0.1])
+
+
+_SQUARE = parse_map("-z1 + 0.2*z1^2", 1, 1)
+_ESTIMATE = PushforwardEstimate(C_hat=np.eye(2, dtype=np.complex128), m=1, n=1, d=1, r=1,
+                                pinv_rcond=0.0, smallest_kept_sv=1.0, largest_sv=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: flow_ensemble(parse_map("z1; z2; z1", 2, 3), 0.1, [[0.0, 0.0]]),
+    lambda: flow_ensemble(_SQUARE, 0.0, [[0.1]]),
+    lambda: flow_ensemble(_SQUARE, 0.1, [[0.1, 0.2]]),
+    lambda: check_equilibrium(parse_map("1/z1", 1, 1), [0.0]),
+    lambda: check_equilibrium(_SQUARE, [0.1]),
+    lambda: matrix_log(np.ones((2, 3))),
+    lambda: bound_B(np.eye(2), grid=0),
+    lambda: estimate_generator(_ESTIMATE, 0.0),
+    lambda: estimate_generator(PushforwardEstimate(
+        C_hat=np.ones((3, 2), dtype=np.complex128), m=1, n=1, d=1, r=2,
+        pinv_rcond=0.0, smallest_kept_sv=1.0, largest_sv=1.0), 0.1),
+], ids=["field-not-square", "time-not-positive", "start-points-shape", "pole-at-p",
+        "not-an-equilibrium", "log-not-square", "grid-not-positive", "generator-time",
+        "block-not-square"])
+def test_argument_checks_raise_input_error(call):
+    # a JetflowError, so `jetflow run` turns it into a record, and a ValueError as before
+    with pytest.raises(InputError):
+        call()
 
 
 def test_matrix_log_diagonal():
