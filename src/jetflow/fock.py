@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SupportError
+from .errors import InputError, SupportError
 from .hankel import MeasureSpec, _body_args
 from .multiindex import graded_numbering, graded_powers
 
@@ -74,11 +74,11 @@ def _as_point(x, d: Optional[int] = None, dtype=np.complex128) -> np.ndarray:
 
 
 def _real_points(x, what: str) -> np.ndarray:
-    """x in float64: a zero imaginary part is dropped, a nonzero one raises ValueError."""
+    """x in float64: a zero imaginary part is dropped, a nonzero one raises InputError."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         if np.any(x.imag != 0):
-            raise ValueError(f"complex {what} are not supported, got imaginary "
+            raise InputError(f"complex {what} are not supported, got imaginary "
                              f"parts up to {np.abs(x.imag).max():.3g}")
         x = x.real
     return x.astype(np.float64, copy=False)

@@ -29,7 +29,10 @@ def _field_rhs(V: MapExpr, d: int):
 
 
 def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
-    """Flow all rows of Z0 forward by time T with the adaptive DOP853 (8(5,3)) step."""
+    """Flow all rows of Z0 forward by time T with the adaptive DOP853 (8(5,3)) step.
+
+    The result is bit for bit scipy's DOP853 on the flattened rows.
+    """
     if V.r != V.d:
         raise InputError(f"vector field must be square, got d={V.d}, r={V.r}")
     if T <= 0:
@@ -38,15 +41,17 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     if Z0.shape[1] != V.d:
         raise InputError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
     # scipy's submodules load here, not at import: `import jetflow` stays light for runs that never flow
-    from scipy.integrate import DOP853
+    from concurrent.futures import ThreadPoolExecutor
 
     from ._blas import calling_thread
+    from ._dop853 import HalvedDOP853
 
-    # the stage sums and error norms over all N rows run on the calling thread,
-    # so the state does not depend on the BLAS thread count
-    with calling_thread():
+    # each half of the points steps on a thread of its own, the second on the
+    # pool's one worker, which exits with the call; the BLAS calls of both run
+    # on their own thread, so the state does not depend on the BLAS thread count
+    with calling_thread(), ThreadPoolExecutor(1) as pool:
         # stepping the solver directly keeps the current state only, not every accepted step
-        solver = DOP853(_field_rhs(V, V.d), 0.0, Z0.reshape(-1), float(T), rtol=tol, atol=tol)
+        solver = HalvedDOP853(_field_rhs(V, V.d), Z0.reshape(-1), float(T), tol, V.d, pool)
         if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
             raise BlowupError("vector field is not finite at the start points")
         message = None

@@ -59,7 +59,7 @@ def probed_rhs(monkeypatch):
     seen = []
 
     def probed(f, points):
-        seen.append(counts())
+        seen.append((threading.get_ident(), counts()))
         return eval_map_batch(f, points)
 
     monkeypatch.setattr(vectorfield, "eval_map_batch", probed)
@@ -68,8 +68,10 @@ def probed_rhs(monkeypatch):
 
 def test_flow_runs_on_one_thread_and_restores_the_count(two_threads, monkeypatch):
     seen = probed_rhs(monkeypatch)
-    flow_ensemble(parse_map(FIELD, 2, 2), 0.5, np.full((20, 2), 0.3))
-    assert seen and all(c == [1] * len(pools) for c in seen)
+    # 200 points: the two halves step on two threads, each with every pool at 1
+    flow_ensemble(parse_map(FIELD, 2, 2), 0.5, np.full((200, 2), 0.3))
+    assert len({ident for ident, _ in seen}) == 2
+    assert all(c == [1] * len(pools) for _, c in seen)
     assert counts() == [2] * len(pools)
 
 
@@ -77,7 +79,7 @@ def test_flow_restores_the_count_after_a_blowup(two_threads, monkeypatch):
     seen = probed_rhs(monkeypatch)
     with pytest.raises(BlowupError):
         flow_ensemble(parse_map("z1^2", 1, 1), 10.0, [[1.0]])
-    assert seen and all(c == [1] * len(pools) for c in seen)
+    assert seen and all(c == [1] * len(pools) for _, c in seen)
     assert counts() == [2] * len(pools)
 
 

@@ -1,15 +1,25 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from jetflow import vectorfield
-from jetflow.errors import BlowupError, InputError, QuadratureConvergenceError, SpectrumError
+from jetflow import _blas, _dop853, vectorfield
+from jetflow.errors import (
+    BlowupError,
+    InputError,
+    JetflowError,
+    QuadratureConvergenceError,
+    SpectrumError,
+)
 from jetflow.hankel import MeasureSpec
 from jetflow.maps import eval_map_batch, parse_map
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
+from jetflow.reconstruct import truncated_lsq
 from jetflow.sampling import draw_samples
 from jetflow.vectorfield import (
     GeneratorEstimate,
@@ -290,6 +300,25 @@ def test_flow_ensemble_logistic_closed_form_on_a_line():
     assert np.abs(W[:, 0] - exact).max() < 1e-12
 
 
+def stock_dop853(V, T, Z, tol=1e-10, seen=None):
+    """scipy's DOP853 on the flattened rows, stepped as flow_ensemble stepped it before the halves.
+
+    Returns the final rows and the solver's nfev; `seen` gets the points of each right-hand side.
+    """
+    def rhs(_t, y):
+        points = y.reshape(-1, V.d)
+        if seen is not None:
+            seen.append(points.copy())
+        return eval_map_batch(V, points).reshape(-1)
+
+    with _blas.calling_thread():
+        solver = DOP853(rhs, 0.0, Z.reshape(-1), T, rtol=tol, atol=tol)
+        while solver.status == "running":
+            solver.step()
+    assert solver.status == "finished"
+    return solver.y.reshape(Z.shape), solver.nfev
+
+
 def test_flow_ensemble_right_hand_side_count(monkeypatch):
     # the flow-d2 benchmark field; an order-4(5) pair takes 110 right-hand sides here
     V = parse_map("-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2", 2, 2)
@@ -297,13 +326,144 @@ def test_flow_ensemble_right_hand_side_count(monkeypatch):
     calls = []
 
     def counted(f, points):
-        calls.append(points.shape)
+        calls.append((threading.get_ident(), points.copy()))
         return eval_map_batch(f, points)
 
     monkeypatch.setattr(vectorfield, "eval_map_batch", counted)
     flow_ensemble(V, 0.5, Z, 1e-10)
-    assert all(shape == (2000, 2) for shape in calls)
-    assert len(calls) < 80
+    stages = []
+    stock_dop853(V, 0.5, Z, seen=stages)
+    assert len(stages) < 80
+    caller = threading.get_ident()
+    first = [points for ident, points in calls if ident == caller]
+    second = [points for ident, points in calls if ident != caller]
+    # the start value and the initial-step probe take all rows on the calling thread;
+    # each stage after them takes the first 960 rows there and the other 1040 on the worker
+    assert len(first) == len(stages) and len(second) == len(stages) - 2
+    for k, rows in enumerate(stages):
+        if k < 2:
+            assert np.array_equal(first[k], rows)
+        else:
+            assert first[k].shape == (960, 2) and second[k - 2].shape == (1040, 2)
+            assert np.array_equal(first[k], rows[:960]) and np.array_equal(second[k - 2], rows[960:])
+
+
+FIELDS = {
+    (1, "polynomial"): "-z1 + 0.2*z1^2",
+    (1, "exp/sin/cos"): "sin(z1) - 0.3*exp(z1)*cos(z1)",
+    (2, "polynomial"): "-z1 + 0.2*z2^2; -2*z2 + 0.3*z1*z2",
+    (2, "exp/sin/cos"): "sin(z2) - z1; 1 - exp(z1)*cos(z2) - 0.5*z2",
+    (3, "polynomial"): "-z1 + z2*z3; -z2 + 0.5*z1^2; -0.3*z3 + z1*z2",
+    (3, "exp/sin/cos"): "sin(z2) - z1; cos(z3) - 1 - z2; exp(-z1) - 1 - z3",
+}
+
+
+@pytest.mark.parametrize("d, kind", FIELDS, ids=[f"d{d}-{kind}" for d, kind in FIELDS])
+def test_flow_ensemble_is_scipys_dop853_bit_for_bit(d, kind, monkeypatch):
+    solvers = []
+
+    class Recorded(_dop853.HalvedDOP853):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(_dop853, "HalvedDOP853", Recorded)
+    V = parse_map(FIELDS[d, kind], d, d)
+    rng = np.random.default_rng(d)
+    # one block below 128 points, then cuts after 64 points and after multiples of 64 beyond
+    for N in (1, 2, 127, 128, 129, 2001, 100000):
+        Z = rng.uniform(-0.4, 0.4, (N, d))
+        for T in (0.1, 0.5, 2.0):
+            ref, nfev = stock_dop853(V, T, Z)
+            W = flow_ensemble(V, T, Z)
+            assert W.tobytes() == ref.tobytes(), (N, T)
+            assert solvers.pop().nfev == nfev, (N, T)
+
+
+def test_concurrent_flows_under_a_short_switch_interval():
+    # four callers, each with its own worker: eight threads on the machine's cores
+    V = parse_map(FIELDS[2, "polynomial"], 2, 2)
+    Z = np.random.default_rng(4).uniform(-0.4, 0.4, (300, 2))
+    ref, _ = stock_dop853(V, 0.5, Z)
+    results, failed = [], []
+
+    def caller():
+        try:
+            for _ in range(10):
+                results.append(flow_ensemble(V, 0.5, Z).tobytes() == ref.tobytes())
+        except Exception as exc:
+            failed.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failed
+    assert results == [True] * 40
+
+
+def test_flow_leaves_no_thread_behind():
+    before = threading.active_count()
+    flow_ensemble(parse_map(FIELDS[2, "polynomial"], 2, 2), 0.5, np.full((200, 2), 0.3))
+    assert threading.active_count() == before
+    for N in (1, 200):
+        with pytest.raises(BlowupError):
+            flow_ensemble(parse_map("z1^2", 1, 1), 10.0, np.ones((N, 1)))
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("raising", ["calling", "worker"])
+def test_a_raising_half_propagates_after_the_other_half_stops(raising, monkeypatch):
+    caller = threading.get_ident()
+    raised, late = threading.Event(), []
+
+    def probed(f, points):
+        on_caller = threading.get_ident() == caller
+        if len(points) < 200:  # a half's call, not the solver's start over all rows
+            if on_caller == (raising == "calling"):
+                raise RuntimeError("half failed")
+            time.sleep(0.005)
+            if raised.is_set():
+                late.append(len(points))
+        return eval_map_batch(f, points)
+
+    monkeypatch.setattr(vectorfield, "eval_map_batch", probed)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="half failed"):
+        flow_ensemble(parse_map("-z1; -z2", 2, 2), 0.5, np.full((200, 2), 0.3))
+    raised.set()
+    time.sleep(0.05)
+    assert not late and threading.active_count() == before
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy keeps its error state in a context variable from 2.0 on")
+def test_both_halves_see_the_callers_numpy_error_state(monkeypatch):
+    seen = []
+
+    def probed(f, points):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return eval_map_batch(f, points)
+
+    monkeypatch.setattr(vectorfield, "eval_map_batch", probed)
+    with np.errstate(over="raise"):
+        flow_ensemble(parse_map("-z1; -z2", 2, 2), 0.5, np.full((200, 2), 0.3))
+    assert len({ident for ident, _ in seen}) == 2
+    assert {state for _, state in seen} == {"raise"}
+
+
+def test_complex_points_raise_a_jetflow_error():
+    X = np.array([[0.2 + 0.3j]])
+    for call in (lambda: flow_ensemble(parse_map("-z1", 1, 1), 0.1, X),
+                 lambda: truncated_lsq(X, [1.0], 1, 1)):
+        with pytest.raises(JetflowError, match="complex"):
+            call()
 
 
 def test_complex_start_points_rejected():
