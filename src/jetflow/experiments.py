@@ -22,6 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
+from ._blas import calling_thread
 from .errors import ConfigError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
 from .hankel import MeasureSpec, hankel_spectrum_sweep, moment_matrix, sigma, smallest_eigenvalue
@@ -415,18 +416,12 @@ def _run_vectorfield_recovery(cfg: dict) -> Table:
     # the unshifted draw is not kept: the flow runs at the run's peak memory
     Z0 = p + draw_samples(measure, cfg["sampling"]["N"], scheme, seed)
     samples = flow_sample_set(V, T, Z0, tol)
-    from ._blas import calling_thread
-
-    # the small solves after the flow run on the calling thread too: an OpenBLAS
-    # worker that one of them woke would spin for about 0.1 s on the core that
-    # the next run's flow steps its second half on
-    with calling_thread():
-        est = estimate_pushforward(p, p, m, n, samples)
-        gen = estimate_generator(est, T)
-        pencil_bound = bound_B(est.C_hat)
-        header, rows, worst = _grid_table(
-            cfg, p, lambda grid: (eval_map_batch(V, grid), reconstruct_field(gen, p, m, grid)),
-            ("V{}_true", "V{}_hat_re", "V{}_hat_im"))
+    est = estimate_pushforward(p, p, m, n, samples)
+    gen = estimate_generator(est, T)
+    pencil_bound = bound_B(est.C_hat)
+    header, rows, worst = _grid_table(
+        cfg, p, lambda grid: (eval_map_batch(V, grid), reconstruct_field(gen, p, m, grid)),
+        ("V{}_true", "V{}_hat_re", "V{}_hat_im"))
     summary = {
         "sup_error": worst,
         "log_residual": gen.log_residual,
@@ -453,7 +448,10 @@ def run_experiment(cfg: dict) -> dict:
         raise ConfigError(issues)
     outdir = resolve_output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    header, rows, summary = _RUNNERS[cfg["kind"]](cfg)
+    # every runner's BLAS and LAPACK calls run on the calling thread, so no CSV
+    # depends on the thread count and no OpenBLAS worker spins on after the run
+    with calling_thread():
+        header, rows, summary = _RUNNERS[cfg["kind"]](cfg)
     csv_path = outdir / (cfg["kind"].replace("-", "_") + ".csv")
     _write_csv(csv_path, header, rows)
     manifest_path = _write_manifest(outdir, cfg, summary)

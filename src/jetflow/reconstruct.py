@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .fock import SampleSet, _real_points, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
 from .multiindex import graded_numbering, graded_powers, jet_dimension
@@ -31,7 +32,7 @@ def read_off(matrix: np.ndarray, p, q, m: int, Z) -> np.ndarray:
 def reconstruct_eval(estimate: PushforwardEstimate, p, q, m: int, z) -> np.ndarray:
     """Evaluate the reconstructed map at a point z (length r) or a (P, d) grid ((P, r))."""
     if m != estimate.m:
-        raise ValueError(f"estimate was built at order {estimate.m}, not {m}")
+        raise InputError(f"estimate was built at order {estimate.m}, not {m}")
     return read_off(estimate.C_hat, p, q, m, z)
 
 
@@ -43,11 +44,11 @@ def monomial_design(X, n: int) -> np.ndarray:
 def truncated_lsq(X, Y, m: int, n: int) -> np.ndarray:
     """Degree-n least-squares polynomial fit, truncated to coefficients of degree <= m."""
     if not 1 <= m <= n:
-        raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
+        raise InputError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
     X = np.atleast_2d(_real_points(X, "sample points"))
     Y = np.asarray(Y, dtype=np.complex128).ravel()
     if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} points but {Y.shape[0]} values")
+        raise InputError(f"{X.shape[0]} points but {Y.shape[0]} values")
     A = monomial_design(X, n)
     # one real solve for both parts of Y
     C, _, _ = rank_checked_lstsq([(A, Y.real[:, None], Y.imag[:, None])], A.shape[1],
@@ -64,14 +65,14 @@ def pipeline_and_lsq_coefficients(g: MapExpr, X, m: int, n: int
     is restored before comparing against the direct polynomial fit of g.
     """
     if g.r != 1:
-        raise ValueError(f"expected a scalar-valued map, got r={g.r}")
+        raise InputError(f"expected a scalar-valued map, got r={g.r}")
     X = np.atleast_2d(_real_points(X, "sample points"))
     d = g.d
     if X.shape[1] != d:
-        raise ValueError(f"points have shape {X.shape}, expected (N, {d})")
+        raise InputError(f"points have shape {X.shape}, expected (N, {d})")
     g0 = complex(eval_map(g, np.zeros(d))[0])
     if abs(g0.imag) > 1e-12:
-        raise ValueError(f"map value at 0 must be real, got {g0}")
+        raise InputError(f"map value at 0 must be real, got {g0}")
     Yg = eval_map_batch(g, X)[:, 0]
     # centered samples feed the feature pipeline; the constant is restored below
     samples = SampleSet(Z=X, W=(Yg - g0.real)[:, None])

@@ -7,6 +7,7 @@ derivative functionals at the origin, mirroring map reconstruction.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -28,10 +29,32 @@ def _field_rhs(V: MapExpr, d: int):
     return rhs
 
 
+def _flow_half(rhs, Z0: np.ndarray, T: float, tol: float) -> np.ndarray:
+    """The rows of Z0 at time T under scipy's DOP853, stepped directly; BlowupError if the flow fails."""
+    from scipy.integrate import DOP853
+
+    # a one-point half can meet 0 * inf in scipy's first-step guess; the check below reports it
+    with np.errstate(invalid="ignore"):
+        # stepping the solver directly keeps the current state only, not every accepted step
+        solver = DOP853(rhs, 0.0, Z0.reshape(-1), T, rtol=tol, atol=tol)
+    if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
+        raise BlowupError("vector field is not finite at the start points")
+    message = None
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status != "finished" or not np.isfinite(solver.y).all():
+        raise BlowupError(f"flow left the resolvable range before t={T}: "
+                          f"{message or 'non-finite state'}")
+    return solver.y.reshape(Z0.shape)
+
+
 def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     """Flow all rows of Z0 forward by time T with the adaptive DOP853 (8(5,3)) step.
 
-    The result is bit for bit scipy's DOP853 on the flattened rows.
+    The rows are cut at N // 2, and each half is flowed by a DOP853 solver of
+    its own, the first on the calling thread and the second on one worker
+    thread that exits with the call.  So each half is bit for bit scipy's
+    DOP853 on its flattened rows; a single point is one solver.
     """
     if V.r != V.d:
         raise InputError(f"vector field must be square, got d={V.d}, r={V.r}")
@@ -44,23 +67,20 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     from concurrent.futures import ThreadPoolExecutor
 
     from ._blas import calling_thread
-    from ._dop853 import HalvedDOP853
 
-    # each half of the points steps on a thread of its own, the second on the
-    # pool's one worker, which exits with the call; the BLAS calls of both run
-    # on their own thread, so the state does not depend on the BLAS thread count
-    with calling_thread(), ThreadPoolExecutor(1) as pool:
-        # stepping the solver directly keeps the current state only, not every accepted step
-        solver = HalvedDOP853(_field_rhs(V, V.d), Z0.reshape(-1), float(T), tol, V.d, pool)
-        if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
-            raise BlowupError("vector field is not finite at the start points")
-        message = None
-        while solver.status == "running":
-            message = solver.step()
-    if solver.status != "finished" or not np.isfinite(solver.y).all():
-        raise BlowupError(f"flow left the resolvable range before t={T}: "
-                          f"{message or 'non-finite state'}")
-    return solver.y.reshape(Z0.shape)
+    rhs, T, cut = _field_rhs(V, V.d), float(T), Z0.shape[0] // 2
+    # the BLAS calls of both halves run on their own thread, so the state does
+    # not depend on the BLAS thread count
+    with calling_thread():
+        if not cut:
+            return _flow_half(rhs, Z0, T, tol)
+        # leaving the pool waits for its worker, so a raise of the first half
+        # propagates only once the second has stopped
+        with ThreadPoolExecutor(1) as pool:
+            # the worker sees the caller's context, and with it numpy's error state
+            second = pool.submit(contextvars.copy_context().run, _flow_half, rhs, Z0[cut:], T, tol)
+            first = _flow_half(rhs, Z0[:cut], T, tol)
+            return np.concatenate([first, second.result()])
 
 
 def flow_map(V: MapExpr, T: float, z0, tol: float = 1e-10) -> np.ndarray:

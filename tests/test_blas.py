@@ -4,11 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from jetflow import _blas, vectorfield
+from jetflow import _blas, experiments, vectorfield
 from jetflow.errors import BlowupError
+from jetflow.experiments import run_experiment
 from jetflow.fock import SampleSet
 from jetflow.maps import eval_map_batch, parse_map
 from jetflow.pushforward import _BLOCK_ROWS, fold_pushforward, rank_checked_lstsq
+from jetflow.reconstruct import reconstruct_eval
 from jetflow.vectorfield import flow_ensemble
 
 pools = _blas._pools()
@@ -80,6 +82,20 @@ def test_flow_restores_the_count_after_a_blowup(two_threads, monkeypatch):
     with pytest.raises(BlowupError):
         flow_ensemble(parse_map("z1^2", 1, 1), 10.0, [[1.0]])
     assert seen and all(c == [1] * len(pools) for _, c in seen)
+    assert counts() == [2] * len(pools)
+
+
+def test_map_reconstruction_reads_off_on_one_thread(two_threads, monkeypatch, tmp_path):
+    seen = []
+
+    def probed(*args):
+        seen.append(counts())
+        return reconstruct_eval(*args)
+
+    monkeypatch.setattr(experiments, "reconstruct_eval", probed)
+    monkeypatch.setenv(experiments.OUTPUT_ENV, str(tmp_path))
+    run_experiment(experiments.demo_config("map-reconstruction"))
+    assert seen and all(c == [1] * len(pools) for c in seen)
     assert counts() == [2] * len(pools)
 
 

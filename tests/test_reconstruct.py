@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jetflow.errors import EstimatorIllPosedError
+from jetflow.errors import EstimatorIllPosedError, JetflowError
 from jetflow.fock import SampleSet, basis_gradient_at_zero, feature_matrix_U
 from jetflow.hankel import MeasureSpec
-from jetflow.maps import eval_map, eval_map_batch, parse_map
+from jetflow.maps import Bin, Const, MapExpr, Var, eval_map, eval_map_batch, parse_map
 from jetflow.multiindex import jet_dimension
 from jetflow.pushforward import PushforwardEstimate, estimate_pushforward, oracle_pushforward
 from jetflow.reconstruct import (
@@ -235,3 +235,21 @@ def test_complex_points_are_rejected(fit):
     X = (np.linspace(-0.5, 0.5, 20) * (1 + 0.5j))[:, None]
     with pytest.raises(ValueError, match="complex sample points are not supported"):
         fit(X)
+
+
+_POINTS = np.linspace(-0.5, 0.5, 20)[:, None]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct_eval(oracle_estimate(parse_map("z1", 1, 1), [0.0], 2), [0.0], [0.0], 3, [0.1]),
+    lambda: truncated_lsq(_POINTS, _POINTS[:, 0], 2, 1),
+    lambda: truncated_lsq(_POINTS, _POINTS[:-1, 0], 1, 2),
+    lambda: pipeline_and_lsq_coefficients(parse_map("z1; z1", 1, 2), _POINTS, 1, 2),
+    lambda: pipeline_and_lsq_coefficients(parse_map("z1", 1, 1), np.hstack([_POINTS, _POINTS]), 1, 2),
+    lambda: pipeline_and_lsq_coefficients(MapExpr(1, 1, (Bin("+", Var(1), Const(1j)),), "z1 + 1j"),
+                                          _POINTS, 1, 2),
+], ids=["order-mismatch", "orders", "value-count", "not-scalar", "point-shape", "complex-value-at-0"])
+def test_argument_checks_raise_a_jetflow_error(call):
+    # a JetflowError, so `jetflow run` turns it into a record, and a ValueError as before
+    with pytest.raises(JetflowError):
+        call()

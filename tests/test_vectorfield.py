@@ -2,13 +2,15 @@ import math
 import sys
 import threading
 import time
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import DOP853, solve_ivp
 
-from jetflow import _blas, _dop853, vectorfield
+from jetflow import _blas, vectorfield
 from jetflow.errors import (
     BlowupError,
     InputError,
@@ -85,10 +87,15 @@ def test_flow_blowup_detected():
 
 def test_non_finite_field_at_the_start_points_raises_blowup():
     # 1e400 parses to inf: V is inf at 0.3 and inf * 0 = NaN at 0, where
-    # DOP853's first step size is NaN and its step loop would never end
+    # DOP853's first step size is NaN and its step loop would never end; a
+    # half of one point meets 0 * inf in DOP853's first-step guess, and only
+    # the BlowupError may show, no warning
     V = parse_map("1e400*z1", 1, 1)
-    with pytest.raises(BlowupError, match="not finite"):
-        flow_ensemble(V, 0.1, [[0.3], [0.0]])
+    for N in (1, 2, 200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError, match="not finite"):
+                flow_ensemble(V, 0.1, np.linspace(0.3, 0.0, N)[:, None])
 
 
 def test_non_finite_field_is_no_equilibrium():
@@ -301,22 +308,31 @@ def test_flow_ensemble_logistic_closed_form_on_a_line():
 
 
 def stock_dop853(V, T, Z, tol=1e-10, seen=None):
-    """scipy's DOP853 on the flattened rows, stepped as flow_ensemble stepped it before the halves.
+    """scipy's DOP853 on the flattened rows of each half of Z, cut at N // 2, the halves concatenated.
 
-    Returns the final rows and the solver's nfev; `seen` gets the points of each right-hand side.
+    Returns the final rows and each half's nfev; `seen` gets, per half, the points of each right-hand side.
     """
-    def rhs(_t, y):
-        points = y.reshape(-1, V.d)
-        if seen is not None:
-            seen.append(points.copy())
-        return eval_map_batch(V, points).reshape(-1)
+    cut = len(Z) // 2
+    rows, nfev = [], []
+    for half in ([Z[:cut], Z[cut:]] if cut else [Z]):
+        stages = []
 
-    with _blas.calling_thread():
-        solver = DOP853(rhs, 0.0, Z.reshape(-1), T, rtol=tol, atol=tol)
-        while solver.status == "running":
-            solver.step()
-    assert solver.status == "finished"
-    return solver.y.reshape(Z.shape), solver.nfev
+        def rhs(_t, y):
+            points = y.reshape(-1, V.d)
+            if seen is not None:
+                stages.append(points.copy())
+            return eval_map_batch(V, points).reshape(-1)
+
+        with _blas.calling_thread():
+            solver = DOP853(rhs, 0.0, half.reshape(-1), T, rtol=tol, atol=tol)
+            while solver.status == "running":
+                solver.step()
+        assert solver.status == "finished"
+        rows.append(solver.y.reshape(half.shape))
+        nfev.append(solver.nfev)
+        if seen is not None:
+            seen.append(stages)
+    return np.concatenate(rows), nfev
 
 
 def test_flow_ensemble_right_hand_side_count(monkeypatch):
@@ -331,21 +347,15 @@ def test_flow_ensemble_right_hand_side_count(monkeypatch):
 
     monkeypatch.setattr(vectorfield, "eval_map_batch", counted)
     flow_ensemble(V, 0.5, Z, 1e-10)
-    stages = []
-    stock_dop853(V, 0.5, Z, seen=stages)
-    assert len(stages) < 80
+    halves = []
+    stock_dop853(V, 0.5, Z, seen=halves)
     caller = threading.get_ident()
-    first = [points for ident, points in calls if ident == caller]
-    second = [points for ident, points in calls if ident != caller]
-    # the start value and the initial-step probe take all rows on the calling thread;
-    # each stage after them takes the first 960 rows there and the other 1040 on the worker
-    assert len(first) == len(stages) and len(second) == len(stages) - 2
-    for k, rows in enumerate(stages):
-        if k < 2:
-            assert np.array_equal(first[k], rows)
-        else:
-            assert first[k].shape == (960, 2) and second[k - 2].shape == (1040, 2)
-            assert np.array_equal(first[k], rows[:960]) and np.array_equal(second[k - 2], rows[960:])
+    # the first 1000 rows step on the calling thread, the other 1000 on the worker,
+    # each half's right-hand sides the rows that stock DOP853 passes on that half
+    for half, on_caller in zip(halves, (True, False)):
+        mine = [points for ident, points in calls if (ident == caller) == on_caller]
+        assert len(mine) == len(half) < 80
+        assert all(np.array_equal(a, b) and a.shape == (1000, 2) for a, b in zip(mine, half))
 
 
 FIELDS = {
@@ -360,24 +370,26 @@ FIELDS = {
 
 @pytest.mark.parametrize("d, kind", FIELDS, ids=[f"d{d}-{kind}" for d, kind in FIELDS])
 def test_flow_ensemble_is_scipys_dop853_bit_for_bit(d, kind, monkeypatch):
-    solvers = []
+    calls = Counter()
 
-    class Recorded(_dop853.HalvedDOP853):
-        def __init__(self, *args):
-            super().__init__(*args)
-            solvers.append(self)
+    def counted(f, points):
+        calls[threading.get_ident()] += 1
+        return eval_map_batch(f, points)
 
-    monkeypatch.setattr(_dop853, "HalvedDOP853", Recorded)
+    monkeypatch.setattr(vectorfield, "eval_map_batch", counted)
+    caller = threading.get_ident()
     V = parse_map(FIELDS[d, kind], d, d)
     rng = np.random.default_rng(d)
-    # one block below 128 points, then cuts after 64 points and after multiples of 64 beyond
+    # one solver at one point, then halves of equal and of unequal length
     for N in (1, 2, 127, 128, 129, 2001, 100000):
         Z = rng.uniform(-0.4, 0.4, (N, d))
         for T in (0.1, 0.5, 2.0):
             ref, nfev = stock_dop853(V, T, Z)
+            calls.clear()
             W = flow_ensemble(V, T, Z)
             assert W.tobytes() == ref.tobytes(), (N, T)
-            assert solvers.pop().nfev == nfev, (N, T)
+            # each half's right-hand sides, the calling thread's first, are its solver's nfev
+            assert [calls.pop(caller), *calls.values()] == nfev, (N, T)
 
 
 def test_concurrent_flows_under_a_short_switch_interval():
