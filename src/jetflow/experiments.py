@@ -25,7 +25,14 @@ from . import __version__
 from ._blas import calling_thread
 from .errors import ConfigError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
-from .hankel import MeasureSpec, hankel_spectrum_sweep, moment_matrix, sigma, smallest_eigenvalue
+from .hankel import (
+    MeasureSpec,
+    box_basis,
+    hankel_spectrum_sweep,
+    moment_matrix,
+    sigma,
+    smallest_eigenvalue,
+)
 from .maps import MapExpr, eval_map_batch, parse_map
 from .multiindex import graded_numbering, jet_dimension
 from .pushforward import (
@@ -318,6 +325,8 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
         except JetflowError as exc:
             folded[N] = exc  # every row of this N carries it
     exact_rows = moment_matrix(measure, n_max, exact=True)
+    # the box's orthonormal basis gives each block's eigenvalue hint; its leading blocks serve every n
+    basis = box_basis(measure, n_max)
 
     header = ["n", "N", "frobenius_error", "gamma_residual", "lambda_n",
               "rate_bound", "smallest_kept_sv", "status"]
@@ -328,7 +337,7 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
         k = jet_dimension(f.d, n)
         leading = [row[:k] for row in exact_rows[:k]]
         D_mu = np.array(leading, dtype=np.float64)  # float() of each entry, as exact=False gives
-        lam = float(smallest_eigenvalue(leading, 256, memo=memo).Lambda)
+        lam = float(smallest_eigenvalue(leading, 256, memo=memo, basis=basis).Lambda)
         for N in N_sweep:
             try:
                 if isinstance(folded[N], JetflowError):

@@ -3,10 +3,14 @@
 Moments of product measures are assembled exactly (rational arithmetic on
 request).  A smallest eigenvalue is the minimum over the diagonal blocks that
 the exact zero pattern of the matrix splits it into (the parity classes of a
-measure symmetric about its centre).  Each block's value is its mpmath.eigsy
-value at a requested mantissa width b, certified to relative width
-2**(-b // 4) by two Sylvester inertia counts in exact rational arithmetic,
-which stay exact far below the double-precision underflow of the spectrum.
+measure symmetric about its centre).  Each block's value is a hint at a
+requested mantissa width b, certified to relative width 2**(-b // 4) by two
+Sylvester inertia counts in exact rational arithmetic, which stay exact far
+below the double-precision underflow of the spectrum.  The hint is the block's
+mpmath.eigsy value, or, for a box table given its orthonormal basis
+(box_basis: tensor Legendre coefficients, exact), the basis's Rayleigh
+quotient 1/||B v||^2 at B's top right singular vector v, a well-conditioned
+largest singular value; the proof is the same for both.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import InputError, PrecisionError
 from .multiindex import graded_numbering, graded_powers, jet_dimension
 
 
@@ -28,13 +32,13 @@ def _body_args(center, radii=None, radius=None):
     c = tuple(float(x) for x in np.atleast_1d(center))
     if radius is not None:
         if radius <= 0:
-            raise ValueError("ball radius must be positive")
+            raise InputError("ball radius must be positive")
         return c, float(radius)
     r = tuple(float(x) for x in np.atleast_1d(radii))
     if len(c) != len(r):
-        raise ValueError("center and radii have different lengths")
+        raise InputError("center and radii have different lengths")
     if any(x <= 0 for x in r):
-        raise ValueError("box radii must be positive")
+        raise InputError("box radii must be positive")
     return c, r
 
 
@@ -54,7 +58,7 @@ class MeasureSpec:
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"expected a nonempty (N, d) point array, got shape {pts.shape}")
+            raise InputError(f"expected a nonempty (N, d) point array, got shape {pts.shape}")
         pts.flags.writeable = False
         return cls(kind="empirical", points=pts)
 
@@ -78,7 +82,7 @@ def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
     table = graded_numbering(measure.d, n)
     if measure.kind == "empirical":
         if exact:
-            raise ValueError("exact moments are only available for uniform_box measures")
+            raise InputError("exact moments are only available for uniform_box measures")
         V = graded_powers(measure.points, n)
         D = V.T @ V / V.shape[0]
         return (D + D.T) / 2
@@ -94,7 +98,39 @@ def moment_matrix(measure: MeasureSpec, n: int, exact: bool = False):
         if exact:
             return rows
         return np.array([[float(x) for x in row] for row in rows])
-    raise ValueError(f"no closed-form moments for measure kind {measure.kind!r}")
+    raise InputError(f"no closed-form moments for measure kind {measure.kind!r}")
+
+
+def box_basis(measure: MeasureSpec, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact coefficient table (Q, W) of a box's orthonormal basis, over the graded numbering of order n.
+
+    Row alpha of Q holds the monomial coefficients of the tensor Legendre
+    polynomial prod_i P_{alpha_i}((x_i - c_i)/rho_i), whose monomials x^beta
+    all have beta <= alpha, so Q is lower-triangular.  W[alpha] is
+    prod_i (2 alpha_i + 1), divided by the box's volume prod_i 2 rho_i when the
+    measure has weight 1 rather than mass 1.  Then B = diag(W)^(1/2) Q
+    satisfies B D B^T = I exactly for D = moment_matrix(measure, n), and the
+    leading r_k x r_k block of (Q, W) is the table at any order k <= n.
+    """
+    if measure.kind != "uniform_box":
+        raise InputError(f"no closed-form orthonormal basis for measure kind {measure.kind!r}")
+    table = graded_numbering(measure.d, n)
+    # per axis, the monomial coefficients of P_0..P_n at (x - c)/r, by Bonnet's
+    # recurrence (k + 1) P_{k+1} = (2k + 1) t P_k - k P_{k-1}
+    per_axis = []
+    for c, r in zip(map(Fraction, measure.center), map(Fraction, measure.radii)):
+        polys = [[Fraction(1)], [-c / r, 1 / r]]
+        for k in range(1, n):
+            # t P_k = (x P_k - c P_k) / r
+            tp = [(a - c * b) / r for a, b in zip([0] + polys[k], polys[k] + [0])]
+            prev = polys[k - 1] + [0, 0]
+            polys.append([((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip(tp, prev)])
+        per_axis.append(polys)
+    Q = [[math.prod(P[a][b] if b <= a else 0 for P, a, b in zip(per_axis, alpha, beta))
+          for beta in table.entries] for alpha in table.entries]
+    volume = 1 if measure.normalized else math.prod(2 * Fraction(r) for r in measure.radii)
+    W = [Fraction(math.prod(2 * a + 1 for a in alpha)) / volume for alpha in table.entries]
+    return Q, W
 
 
 def lebesgue_hankel(a: float, r: float, n: int) -> list[list[Fraction]]:
@@ -186,13 +222,71 @@ def _blocks(rows: list[list[Fraction]]) -> list[list[int]]:
     return blocks
 
 
-def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
-    """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue."""
+def _mpf(x: Fraction):
+    """x as an mpf at the working precision."""
     import mpmath
 
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _basis_quotient(Q: list[list[Fraction]], W: list[Fraction], v: list[Fraction]) -> Fraction:
+    """||v||^2 / ||B v||^2 for B = diag(W)^(1/2) Q, exactly: 1 / the Rayleigh quotient of B^T B at v."""
+    Bv2 = sum(w * sum(q * x for q, x in zip(row, v) if q) ** 2 for row, w in zip(Q, W))
+    return sum(x * x for x in v) / Bv2
+
+
+# the quotient at a float64 singular vector had 94 to 110 correct bits on box
+# tables up to d = 3 and n = 20 (error quadratic in the vector's); 80 keeps a margin
+_FLOAT64_QUOTIENT_BITS = 80
+
+
+def _basis_hint(rows: list[list[Fraction]], Q: list[list[Fraction]], W: list[Fraction],
+                precision_bits: int):
+    """Smallest eigenvalue of rows = B^-1 B^-T, B = diag(W)^(1/2) Q, as 1/||B||_2^2: an mpf hint.
+
+    The value is the exact quotient ||v||^2 / ||B v||^2 at v, the float64 top
+    right singular vector of B, rounded to precision_bits; its error is
+    quadratic in v's.  Where the certificate asks for more than that reaches,
+    inverse iteration on rows, shifted by the hint, refines v in mpf.
+    """
+    import mpmath
+
+    # 2^-e B has B's singular vectors; e > 0 only where Q's largest entry would overflow float64
+    e = max(0, max(abs(q.numerator).bit_length() - q.denominator.bit_length()
+                   for row in Q for q in row) - 1000)
+    B = np.sqrt([float(w) for w in W])[:, None] * np.array(
+        [[q.numerator / (q.denominator << e) for q in row] for row in Q])
+    v = [Fraction(x) for x in np.linalg.svd(B)[2][0]]
+    lam = _basis_quotient(Q, W, v)
     with mpmath.workprec(precision_bits):
-        M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows])
-        lam = min(mpmath.eigsy(M, eigvals_only=True))
+        if precision_bits // 4 > _FLOAT64_QUOTIENT_BITS:
+            M = mpmath.matrix([[_mpf(x) for x in row] for row in rows])
+            for _ in range(8):  # each step about squares v's error; two reach 1024 bits
+                try:
+                    y = mpmath.lu_solve(M - _mpf(lam) * mpmath.eye(len(rows)), [_mpf(x) for x in v])
+                except ZeroDivisionError:  # the shift is an eigenvalue to working precision
+                    break
+                v = [_dyadic(x) for x in y]
+                step, lam = lam, _basis_quotient(Q, W, v)
+                if abs(step - lam) <= lam / 2 ** (precision_bits // 4 + 4):
+                    break
+        return _mpf(lam)
+
+
+def _certified_smallest(rows: list[list[Fraction]], precision_bits: int, *basis):
+    """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue.
+
+    The hint is the block's mpmath.eigsy value, or, given the block's basis
+    table Q, W, its _basis_hint; the proof is the same for both.
+    """
+    import mpmath
+
+    if basis:
+        lam = _basis_hint(rows, *basis, precision_bits)
+    else:
+        with mpmath.workprec(precision_bits):
+            M = mpmath.matrix([[_mpf(x) for x in row] for row in rows])
+            lam = min(mpmath.eigsy(M, eigvals_only=True))
     quarter = precision_bits // 4
     with mpmath.workprec(quarter + 8):  # short dyadic endpoints keep Fraction growth small
         w = mpmath.ldexp(abs(lam), -(quarter + 1))
@@ -210,7 +304,8 @@ def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
     return lam
 
 
-def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = None) -> HankelSpectrum:
+def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = None,
+                        basis: Optional[tuple] = None) -> HankelSpectrum:
     """Certified smallest eigenvalue of a real symmetric matrix of size n + 1.
 
     D is nested lists or any ndarray (an object array of Fractions, say), read
@@ -230,35 +325,48 @@ def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = 
     asks for more bits; every block is certified, and nothing uncertified is
     returned.
 
-    `memo`, when given, maps (precision_bits, a block's exact entries) to its
-    certified value: a block already in it is not certified again, and each
-    newly certified block is added.  A sweep over n passes one memo to all its
-    calls, because the leading blocks of one table repeat whole exact blocks
-    from one n to the next (on a box centred at 0, growing n grows only some
-    parity blocks).  The key holds every entry, so equal keys mean equal
-    blocks, and the value is the one a call without the memo returns.
+    `basis`, when given, is box_basis(measure, k) for the box whose moments D
+    holds, at any k whose table has at least D's rows (its leading block
+    serves).  Each block's value is then the basis's exact Rayleigh quotient
+    rather than eigsy's (see _basis_hint), and the proof is unchanged: a basis
+    of another measure gives a hint the counts reject, so it costs a
+    PrecisionError, never a wrong value.
+
+    `memo`, when given, maps (precision_bits, whether a basis gave the hint,
+    a block's exact entries) to its certified value: a block already in it is
+    not certified again, and each newly certified block is added.  A sweep over
+    n passes one memo to all its calls, because the leading blocks of one table
+    repeat whole exact blocks from one n to the next (on a box centred at 0,
+    growing n grows only some parity blocks).  The key holds every entry, so
+    equal keys mean equal blocks, and the value is the one a call without the
+    memo returns.
     """
     if precision_bits < 16:
-        raise ValueError("precision_bits must be at least 16")
+        raise InputError("precision_bits must be at least 16")
     raw_rows = D.tolist() if isinstance(D, np.ndarray) else list(D)
     size = len(raw_rows)
     # np.shape also rejects a row that is a scalar (a 1-D array) or holds lists (a 3-D one)
     if size == 0 or any(np.shape(row) != (size,) for row in raw_rows):
-        raise ValueError("expected a nonempty square matrix")
+        raise InputError("expected a nonempty square matrix")
     if not all(isinstance(x, numbers.Rational) or math.isfinite(x) for row in raw_rows for x in row):
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     if any(raw_rows[i][j] != raw_rows[j][i] for i in range(size) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
+        raise InputError("matrix is not symmetric")
+    if basis is not None and min(len(basis[0]), len(basis[1])) < size:
+        raise InputError(f"basis table has fewer than the matrix's {size} rows")
     rows = [[_fraction(x) for x in row] for row in raw_rows]
     memo = {} if memo is None else memo
     values = []
     for block in _blocks(rows):
         block_rows = [[rows[i][j] for j in block] for i in block]
         # a block is square, so its entries in row order (as exact integer pairs) fix it
-        key = (precision_bits, tuple((x.numerator, x.denominator) for row in block_rows for x in row))
+        key = (precision_bits, basis is not None,
+               tuple((x.numerator, x.denominator) for row in block_rows for x in row))
         lam = memo.get(key)
         if lam is None:
-            lam = memo[key] = _certified_smallest(block_rows, precision_bits)
+            block_basis = () if basis is None else (
+                [[basis[0][i][j] for j in block] for i in block], [basis[1][i] for i in block])
+            lam = memo[key] = _certified_smallest(block_rows, precision_bits, *block_basis)
         values.append(lam)
     return HankelSpectrum(n=size - 1, Lambda=min(values), precision_bits=precision_bits, certified=True)
 
@@ -280,7 +388,7 @@ def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 
 def sigma(a: float, r: float) -> float:
     """Decay base of interval Hankel spectra; branch keyed on |a| + a^2 - r^2."""
     if r <= 0:
-        raise ValueError("interval radius must be positive")
+        raise InputError("interval radius must be positive")
     t = abs(a) + a * a - r * r
     if t >= 0:
         q = (abs(a) + 1.0) / r
@@ -317,12 +425,12 @@ def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
 def sample_complexity(n: int, d: int, Lambda_n: float, L_mu: float, delta: float) -> int:
     """Sample count sufficient for the half-spectrum moment concentration event."""
     if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+        raise InputError(f"delta must be in (0, 1), got {delta}")
     lam = float(Lambda_n)
     if lam <= 0:
-        raise ValueError(f"Lambda_n must be positive, got {Lambda_n}")
+        raise InputError(f"Lambda_n must be positive, got {Lambda_n}")
     if L_mu < 1:
-        raise ValueError(f"L_mu must be at least 1, got {L_mu}")
+        raise InputError(f"L_mu must be at least 1, got {L_mu}")
     r_n = jet_dimension(d, n)
     value = (float(L_mu) ** (4 * n)) * (r_n ** 2) / (lam * lam) * 4.0 * math.log(2.0 / delta)
     return math.ceil(value)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import contextvars
 import math
+import threading
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,22 +31,32 @@ def _field_rhs(V: MapExpr, d: int):
     return rhs
 
 
-def _flow_half(rhs, Z0: np.ndarray, T: float, tol: float) -> np.ndarray:
-    """The rows of Z0 at time T under scipy's DOP853, stepped directly; BlowupError if the flow fails."""
+def _flow_half(rhs, Z0: np.ndarray, T: float, tol: float, stop: threading.Event) -> Optional[np.ndarray]:
+    """The rows of Z0 at time T under scipy's DOP853, stepped directly; BlowupError if the flow fails.
+
+    Any raise sets `stop`, and a half that finds `stop` set before a step
+    returns None: so the other half of an ensemble stops within one step.
+    """
     from scipy.integrate import DOP853
 
-    # a one-point half can meet 0 * inf in scipy's first-step guess; the check below reports it
-    with np.errstate(invalid="ignore"):
-        # stepping the solver directly keeps the current state only, not every accepted step
-        solver = DOP853(rhs, 0.0, Z0.reshape(-1), T, rtol=tol, atol=tol)
-    if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
-        raise BlowupError("vector field is not finite at the start points")
-    message = None
-    while solver.status == "running":
-        message = solver.step()
-    if solver.status != "finished" or not np.isfinite(solver.y).all():
-        raise BlowupError(f"flow left the resolvable range before t={T}: "
-                          f"{message or 'non-finite state'}")
+    try:
+        # a one-point half can meet 0 * inf in scipy's first-step guess; the check below reports it
+        with np.errstate(invalid="ignore"):
+            # stepping the solver directly keeps the current state only, not every accepted step
+            solver = DOP853(rhs, 0.0, Z0.reshape(-1), T, rtol=tol, atol=tol)
+        if not np.isfinite(solver.f).all():  # DOP853 would step forever on a non-finite first step
+            raise BlowupError("vector field is not finite at the start points")
+        message = None
+        while solver.status == "running":
+            if stop.is_set():
+                return None
+            message = solver.step()
+        if solver.status != "finished" or not np.isfinite(solver.y).all():
+            raise BlowupError(f"flow left the resolvable range before t={T}: "
+                              f"{message or 'non-finite state'}")
+    except BaseException:
+        stop.set()
+        raise
     return solver.y.reshape(Z0.shape)
 
 
@@ -54,7 +66,9 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     The rows are cut at N // 2, and each half is flowed by a DOP853 solver of
     its own, the first on the calling thread and the second on one worker
     thread that exits with the call.  So each half is bit for bit scipy's
-    DOP853 on its flattened rows; a single point is one solver.
+    DOP853 on its flattened rows; a single point is one solver.  When one
+    half raises, the other stops before its next step, and the raise
+    propagates once both have stopped.
     """
     if V.r != V.d:
         raise InputError(f"vector field must be square, got d={V.d}, r={V.r}")
@@ -69,17 +83,19 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
     from ._blas import calling_thread
 
     rhs, T, cut = _field_rhs(V, V.d), float(T), Z0.shape[0] // 2
+    stop = threading.Event()  # set by a raising half, so the other stops at its next step
     # the BLAS calls of both halves run on their own thread, so the state does
     # not depend on the BLAS thread count
     with calling_thread():
         if not cut:
-            return _flow_half(rhs, Z0, T, tol)
+            return _flow_half(rhs, Z0, T, tol, stop)
         # leaving the pool waits for its worker, so a raise of the first half
         # propagates only once the second has stopped
         with ThreadPoolExecutor(1) as pool:
             # the worker sees the caller's context, and with it numpy's error state
-            second = pool.submit(contextvars.copy_context().run, _flow_half, rhs, Z0[cut:], T, tol)
-            first = _flow_half(rhs, Z0[:cut], T, tol)
+            second = pool.submit(contextvars.copy_context().run, _flow_half, rhs, Z0[cut:], T, tol, stop)
+            first = _flow_half(rhs, Z0[:cut], T, tol, stop)
+            # a raise of the second half stopped the first (None): its result() raises
             return np.concatenate([first, second.result()])
 
 

@@ -124,9 +124,10 @@ def test_convergence_sweep_certifies_each_distinct_block_once(tmp_path, monkeypa
     sizes = []
     certify = hankel._certified_smallest
 
-    def counted(rows, precision_bits):
+    def counted(rows, precision_bits, *basis):
+        assert basis  # the runner's hints come from the box's basis table
         sizes.append(len(rows))
-        return certify(rows, precision_bits)
+        return certify(rows, precision_bits, *basis)
 
     monkeypatch.setattr(hankel, "_certified_smallest", counted)
     cfg = {**demo_config("pushforward-convergence"), "output_dir": str(tmp_path)}

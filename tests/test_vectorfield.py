@@ -454,6 +454,31 @@ def test_a_raising_half_propagates_after_the_other_half_stops(raising, monkeypat
     assert not late and threading.active_count() == before
 
 
+@pytest.mark.parametrize("raising", ["calling", "worker"])
+def test_the_other_half_stops_within_one_step_of_a_raise(raising, monkeypatch):
+    # the raising half fails at its 25th call, mid-flow; one DOP853 step is 12 calls
+    caller = threading.get_ident()
+    raised, calls, after = threading.Event(), Counter(), []
+
+    def probed(f, points):
+        on_caller = threading.get_ident() == caller
+        if len(points) < 200:  # a half's call, not the solver's start over all rows
+            calls[on_caller] += 1
+            if on_caller == (raising == "calling"):
+                if calls[on_caller] == 25:
+                    raised.set()
+                    raise RuntimeError("half failed")
+            elif raised.is_set():
+                after.append(len(points))
+            time.sleep(0.002)
+        return eval_map_batch(f, points)
+
+    monkeypatch.setattr(vectorfield, "eval_map_batch", probed)
+    with pytest.raises(RuntimeError, match="half failed"):
+        flow_ensemble(parse_map("-z1; -z2", 2, 2), 0.5, np.full((200, 2), 0.3))
+    assert raised.is_set() and len(after) <= 12
+
+
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                     reason="numpy keeps its error state in a context variable from 2.0 on")
 def test_both_halves_see_the_callers_numpy_error_state(monkeypatch):
