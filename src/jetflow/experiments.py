@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import calling_thread
-from .errors import ConfigError, JetflowError, MapSyntaxError
+from .errors import ConfigError, InputError, JetflowError, MapSyntaxError
 from .fock import DomainSpec, SampleSet, measure_radii
 from .hankel import (
     MeasureSpec,
@@ -202,13 +202,19 @@ def resolve_output_dir(cfg: dict) -> Path:
 
 
 def _fmt(x) -> str:
+    """A CSV cell: a number as %.17g of its float, a certified mpf below float64's range in 17 digits."""
     if x is None:
         return ""
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return str(x)
+    if isinstance(x, str):
+        return x
+    v = float(x)
+    if v == 0 and x != 0:  # only an mpf underflows, so mpmath is loaded already
+        import mpmath
+
+        return mpmath.nstr(x, 17)
+    return f"{v:.17g}"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -337,16 +343,20 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
         k = jet_dimension(f.d, n)
         leading = [row[:k] for row in exact_rows[:k]]
         D_mu = np.array(leading, dtype=np.float64)  # float() of each entry, as exact=False gives
-        lam = float(smallest_eigenvalue(leading, 256, memo=memo, basis=basis).Lambda)
+        try:  # the certified mpf, which the CSV prints also below float64's range
+            lam, lam_error = smallest_eigenvalue(leading, 256, memo=memo, basis=basis).Lambda, None
+        except JetflowError as exc:
+            lam, lam_error = None, exc  # every row of this n carries it
         for N in N_sweep:
             try:
-                if isinstance(folded[N], JetflowError):
-                    raise folded[N]
+                for failed in (folded[N], lam_error):
+                    if isinstance(failed, JetflowError):
+                        raise failed
                 fold, D_hat = folded[N]
                 est = fold.estimate(n)
                 err = float(np.linalg.norm(oracle.C - est.C_hat))
                 gam = gamma_check(D_mu, D_hat[:k, :k])
-                rate = theorem_rate(m, n, R_mu, lam, 1 - gam) if gam < 1 else None
+                rate = theorem_rate(m, n, R_mu, lam, 1 - gam) if gam < 1 and float(lam) else None
                 rows.append([n, N, err, gam, lam, rate, est.smallest_kept_sv, "ok"])
                 errors.append(err)
             except JetflowError as exc:
@@ -417,7 +427,7 @@ def _run_vectorfield_recovery(cfg: dict) -> Table:
     V, p = _map_and_point(cfg, cfg["d"])
     try:
         check_equilibrium(V, p)
-    except ValueError as exc:
+    except InputError as exc:
         raise ConfigError([("base_point", str(exc))]) from None
     measure, scheme, seed = _sampling_pieces(cfg)
     m, n = cfg["orders"]["m"], cfg["orders"]["n"]
@@ -517,5 +527,5 @@ _DEMOS = {
 def demo_config(kind: str) -> dict:
     """A canned, runnable config for each experiment kind; a fresh copy on every call."""
     if kind not in _DEMOS:
-        raise ValueError(f"unknown demo kind {kind!r}")
+        raise InputError(f"unknown demo kind {kind!r}")
     return {"kind": kind, **copy.deepcopy(_DEMOS[kind]), "output_dir": "jetflow-out"}

@@ -51,10 +51,10 @@ class SampleSet:
     W: np.ndarray
 
     def __post_init__(self) -> None:
-        Z, W = (np.atleast_2d(x).astype(np.complex128 if np.iscomplexobj(x) else np.float64)
-                for x in (self.Z, self.W))
+        Z, W = (_array(x, what).copy(order="K")
+                for x, what in ((self.Z, "sample points"), (self.W, "image points")))
         if Z.shape[0] < 1 or W.shape[0] != Z.shape[0]:
-            raise ValueError(f"need matching nonempty samples, got {Z.shape} and {W.shape}")
+            raise InputError(f"need matching nonempty samples, got {Z.shape} and {W.shape}")
         Z.flags.writeable = False
         W.flags.writeable = False
         object.__setattr__(self, "Z", Z)
@@ -64,24 +64,28 @@ class SampleSet:
         return self.Z.shape[0]
 
 
-def _as_point(x, d: Optional[int] = None, dtype=np.complex128) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=dtype))
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if d is not None and v.shape != (d,):
-        raise ValueError(f"expected a vector of length {d}, got {v.shape}")
-    return v
+def _array(x, what: str, d: Optional[int] = None, *, vector: bool = False, dtype=None) -> np.ndarray:
+    """The one rule for array arguments: N rows of d values, or with vector=True one length-d vector.
 
-
-def _real_points(x, what: str) -> np.ndarray:
-    """x in float64: a zero imaginary part is dropped, a nonzero one raises InputError."""
+    d=None takes any width, and another shape raises InputError.  dtype=None
+    gives complex128 to a complex x and float64 to any other; np.float64
+    drops a zero imaginary part and refuses a nonzero one.  A fitting x is not copied.
+    """
     x = np.asarray(x)
-    if np.iscomplexobj(x):
+    if dtype is None:
+        dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    elif dtype is np.float64 and np.iscomplexobj(x):
         if np.any(x.imag != 0):
             raise InputError(f"complex {what} are not supported, got imaginary "
                              f"parts up to {np.abs(x.imag).max():.3g}")
         x = x.real
-    return x.astype(np.float64, copy=False)
+    x = x.astype(dtype, copy=False)
+    x = np.atleast_1d(x) if vector else np.atleast_2d(x)
+    if x.ndim != (1 if vector else 2) or d not in (None, x.shape[-1]):
+        width = "d" if d is None else d
+        raise InputError(f"{what} has shape {x.shape}, expected ({width},)" if vector
+                         else f"{what} have shape {x.shape}, expected (N, {width})")
+    return x
 
 
 def _as_alpha(alpha, d: int) -> tuple[int, ...]:
@@ -90,14 +94,14 @@ def _as_alpha(alpha, d: int) -> tuple[int, ...]:
     else:
         alpha = tuple(int(a) for a in alpha)
     if len(alpha) != d or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multi-index {alpha} for dimension {d}")
+        raise InputError(f"bad multi-index {alpha} for dimension {d}")
     return alpha
 
 
 def basis_u(p, alpha, z) -> complex:
     """Evaluate u_{p,alpha} at z."""
-    p = _as_point(p)
-    z = _as_point(z, len(p))
+    p = _array(p, "base point", vector=True, dtype=np.complex128)
+    z = _array(z, "point", len(p), vector=True, dtype=np.complex128)
     alpha = _as_alpha(alpha, len(p))
     fac = math.prod(math.factorial(a) for a in alpha)
     mono = np.prod((z - p) ** np.array(alpha))
@@ -110,7 +114,12 @@ def basis_v(q, beta, w) -> complex:
     return basis_u(q, beta, w)
 
 
-def _feature_matrix(p: np.ndarray, n: int, Z: np.ndarray) -> np.ndarray:
+def _feature_matrix(p, n: int, Z, what: str = "points") -> np.ndarray:
+    """Rows u_{p,*}(z) at the rows z of Z, in the wider of p's and Z's dtypes under `_array`'s rule."""
+    p = _array(p, "base point", vector=True)
+    Z = _array(Z, what, p.shape[0])
+    dtype = np.result_type(p, Z)
+    p, Z = p.astype(dtype, copy=False), Z.astype(dtype, copy=False)
     table = graded_numbering(p.shape[0], n)
     kernel = np.exp(Z @ np.conj(p) - np.dot(np.conj(p), p).real / 2)
     out = graded_powers(Z - p[None, :], n)
@@ -119,29 +128,17 @@ def _feature_matrix(p: np.ndarray, n: int, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _feature_args(base, points, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Base point and (N, d) points, in float64 when both are real and in complex128 otherwise."""
-    dtype = np.complex128 if np.iscomplexobj(base) or np.iscomplexobj(points) else np.float64
-    base = _as_point(base, dtype=dtype)
-    points = np.atleast_2d(np.asarray(points, dtype=dtype))
-    if points.shape[1] != base.shape[0]:
-        raise ValueError(f"{what} have shape {points.shape}, expected (N, {base.shape[0]})")
-    return base, points
-
-
 def feature_matrix_U(p, n: int, Z) -> np.ndarray:
     """N x r_n matrix with rows u_{p,*}(z^i) in graded order.
 
     Real p and Z give a float64 matrix; a complex p or Z gives complex128.
     """
-    p, Z = _feature_args(p, Z, "points")
     return _feature_matrix(p, n, Z)
 
 
 def feature_matrix_V(q, m: int, W) -> np.ndarray:
     """N x r_m matrix with rows v_{q,*}(w^i) at the image points, in feature_matrix_U's dtype rule."""
-    q, W = _feature_args(q, W, "image points")
-    return _feature_matrix(q, m, W)
+    return _feature_matrix(q, m, W, "image points")
 
 
 def projection_tail_sq(p, n: int, w) -> float:
@@ -150,8 +147,8 @@ def projection_tail_sq(p, n: int, w) -> float:
     Uses sum_alpha |u_{p,alpha}(w)|^2 = e^{2Re<w,p> - |p|^2 + |w-p|^2} minus the
     explicit partial sum through degree n.
     """
-    p = _as_point(p)
-    w = _as_point(w, len(p))
+    p = _array(p, "base point", vector=True, dtype=np.complex128)
+    w = _array(w, "point", len(p), vector=True, dtype=np.complex128)
     total = math.exp(
         2 * np.dot(np.conj(p), w).real
         - np.dot(np.conj(p), p).real
@@ -164,10 +161,10 @@ def projection_tail_sq(p, n: int, w) -> float:
 
 def basis_gradient_at_zero(q, m: int, i: int) -> np.ndarray:
     """Vector of directional derivatives d/dz_i of the v_{q,beta} at the origin."""
-    q = _as_point(q)
+    q = _array(q, "base point", vector=True, dtype=np.complex128)
     r = q.shape[0]
     if not 1 <= i <= r:
-        raise ValueError(f"coordinate {i} out of range 1..{r}")
+        raise InputError(f"coordinate {i} out of range 1..{r}")
     table = graded_numbering(r, m)
     mono = graded_powers(-q[None, :], m)[0]
     out = np.conj(q[i - 1]) * mono
@@ -181,7 +178,7 @@ def basis_gradient_at_zero(q, m: int, i: int) -> np.ndarray:
 
 def minkowski(domain: DomainSpec, z) -> float:
     """Gauge of the centered reference body at the displacement z."""
-    z = _as_point(z, domain.d)
+    z = _array(z, "displacement", domain.d, vector=True, dtype=np.complex128)
     mags = np.abs(z)
     if domain.kind == "box":
         return float(np.max(mags / np.array(domain.radii)))
@@ -198,7 +195,7 @@ def _support_extremes(measure: MeasureSpec) -> np.ndarray:
 def measure_radii(measure: MeasureSpec, domain: DomainSpec) -> tuple[float, float]:
     """(R_mu, L_mu): gauge radius of the support and its coordinate bound (floored at 1)."""
     if measure.d != domain.d:
-        raise ValueError(f"measure dimension {measure.d} != domain dimension {domain.d}")
+        raise InputError(f"measure dimension {measure.d} != domain dimension {domain.d}")
     if measure.kind == "empirical":
         R = max(minkowski(domain, x) for x in measure.points)
     else:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import InputError, PoleError
 from .multiindex import MultiIndexTable, graded_numbering
 
 
@@ -45,7 +45,7 @@ class Jet:
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (len(self.table),):
-            raise ValueError(f"expected {len(self.table)} coefficients, got shape {c.shape}")
+            raise InputError(f"expected {len(self.table)} coefficients, got shape {c.shape}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -98,7 +98,7 @@ def constant_jet(table: MultiIndexTable, value: complex) -> Jet:
 def variable_jet(table: MultiIndexTable, i: int, base: complex = 0.0) -> Jet:
     """Jet of the coordinate function z_i (1-based) about a point with z_i = base."""
     if not 1 <= i <= table.d:
-        raise ValueError(f"variable index {i} out of range 1..{table.d}")
+        raise InputError(f"variable index {i} out of range 1..{table.d}")
     c = np.zeros(len(table), dtype=np.complex128)
     c[0] = base
     if table.max_degree >= 1:
@@ -108,7 +108,7 @@ def variable_jet(table: MultiIndexTable, i: int, base: complex = 0.0) -> Jet:
 
 def _check_same_table(a: Jet, b: Jet) -> None:
     if a.table is not b.table and a.table != b.table:
-        raise ValueError("jets live on different index tables")
+        raise InputError("jets live on different index tables")
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
@@ -130,7 +130,7 @@ def jet_int_pow(a: Jet, k: int) -> Jet:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise TypeError(f"exponent must be an integer, got {k!r}")
     if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
+        raise InputError(f"exponent must be nonnegative, got {k}")
     result = constant_jet(a.table, 1.0)
     base = a
     while k:

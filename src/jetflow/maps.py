@@ -20,7 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BlowupError, MapSyntaxError, PoleError
+from .errors import BlowupError, InputError, MapSyntaxError, PoleError
+from .fock import _array
 from .jets import Jet, constant_jet, jet_cos, jet_exp, jet_sin, variable_jet
 from .multiindex import graded_numbering
 
@@ -280,9 +281,7 @@ def eval_map(f: MapExpr, z) -> np.ndarray:
     A division by zero on the way raises PoleError: f has a pole at z; an
     overflow raises BlowupError.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if z.shape != (f.d,):
-        raise ValueError(f"point has shape {z.shape}, expected ({f.d},)")
+    z = _array(z, "point", f.d, vector=True, dtype=np.complex128)
     try:
         return np.array([_eval_scalar(c, z) for c in f.components], dtype=np.complex128)
     except ZeroDivisionError:
@@ -297,10 +296,7 @@ def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
     Every node maps reals to reals, so real input is evaluated in float64 and
     gives a float64 result; complex input gives complex128.
     """
-    Z = np.asarray(Z)
-    Z = Z.astype(np.complex128 if np.iscomplexobj(Z) else np.float64, copy=False)
-    if Z.ndim != 2 or Z.shape[1] != f.d:
-        raise ValueError(f"points have shape {Z.shape}, expected (N, {f.d})")
+    Z = _array(Z, "points", f.d)
     out = np.empty((Z.shape[0], f.r), dtype=Z.dtype)
     # a pole or an inf - inf gives a non-finite value, which the caller checks
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,9 +308,7 @@ def eval_map_batch(f: MapExpr, Z) -> np.ndarray:
 
 def jet_of_map(f: MapExpr, p, order: int) -> list[Jet]:
     """Order-`order` jets of the components of f about the point p; an overflow raises BlowupError."""
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    if p.shape != (f.d,):
-        raise ValueError(f"base point has shape {p.shape}, expected ({f.d},)")
+    p = _array(p, "base point", f.d, vector=True, dtype=np.complex128)
     table = graded_numbering(f.d, order)
     env = [variable_jet(table, k + 1, base=p[k]) for k in range(f.d)]
     constant = partial(constant_jet, table)
@@ -327,7 +321,7 @@ def jet_of_map(f: MapExpr, p, order: int) -> list[Jet]:
 def compose_maps(outer: MapExpr, inner: MapExpr) -> MapExpr:
     """outer after inner, by substituting inner's components for outer's variables."""
     if outer.d != inner.r:
-        raise ValueError(f"cannot compose: outer expects {outer.d} inputs, inner yields {inner.r}")
+        raise InputError(f"cannot compose: outer expects {outer.d} inputs, inner yields {inner.r}")
     components = tuple(_evaluate(c, inner.components, Const, _NODE_FUNCTIONS)
                        for c in outer.components)
     return MapExpr(

@@ -16,13 +16,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 
 def jet_dimension(d: int, n: int) -> int:
     """Count of multi-indices with |alpha| <= n in d variables: C(n+d, d)."""
     if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+        raise InputError(f"dimension must be positive, got {d}")
     if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+        raise InputError(f"order must be nonnegative, got {n}")
     return math.comb(n + d, d)
 
 
@@ -102,7 +104,7 @@ def graded_powers(X, n: int) -> np.ndarray:
     """
     X = np.asarray(X)
     if X.ndim != 2:
-        raise ValueError(f"expected an (N, d) array, got shape {X.shape}")
+        raise InputError(f"expected an (N, d) array, got shape {X.shape}")
     table = graded_numbering(X.shape[1], n)
     out = np.empty((X.shape[0], len(table)), dtype=X.dtype, order="F")
     out[:, 0] = 1

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, EstimatorIllPosedError, NonPositiveDefiniteError
-from .fock import SampleSet, feature_matrix_U, feature_matrix_V
+from .errors import BlowupError, EstimatorIllPosedError, InputError, NonPositiveDefiniteError
+from .fock import SampleSet, _array, feature_matrix_U, feature_matrix_V
 from .jets import jet_exp, variable_jet
 from .maps import MapExpr, jet_of_map
 from .multiindex import graded_numbering, graded_powers, jet_dimension
@@ -145,7 +145,7 @@ class PushforwardEstimate:
     def __post_init__(self) -> None:
         expected = (jet_dimension(self.r, self.m), jet_dimension(self.d, self.m))
         if self.C_hat.shape != expected:
-            raise ValueError(f"estimate has shape {self.C_hat.shape}, expected {expected}")
+            raise InputError(f"estimate has shape {self.C_hat.shape}, expected {expected}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +162,7 @@ class PushforwardFold:
     def estimate(self, n: int) -> PushforwardEstimate:
         """The estimate from order-n features, m <= n <= self.n, solved from R's leading block."""
         if not self.m <= n <= self.n:
-            raise ValueError(f"fold holds orders {self.m}..{self.n}, got n={n}")
+            raise InputError(f"fold holds orders {self.m}..{self.n}, got n={n}")
         X, s, rcond = _leading_fit(self.N, self.R, jet_dimension(self.d, n),
                                    jet_dimension(self.d, self.n), "feature matrix")
         # V* (U*)^+ = (U^+ V)^*, in complex128 whichever arithmetic ran
@@ -189,7 +189,7 @@ def fold_pushforward(p, q, m: int, n: int, samples: SampleSet) -> PushforwardFol
     """
     p, q = np.atleast_1d(p), np.atleast_1d(q)
     if not 1 <= m <= n:
-        raise ValueError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
+        raise InputError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
     d, r = p.shape[0], q.shape[0]
     blocks = ((feature_matrix_U(p, n, samples.Z[i:i + _BLOCK_ROWS]),
                feature_matrix_V(q, m, samples.W[i:i + _BLOCK_ROWS]))
@@ -220,8 +220,8 @@ def oracle_pushforward(f: MapExpr, p, m: int) -> OraclePushforward:
     target feature v_{q,beta} after f, with the source kernel divided out.
     """
     if m < 1:
-        raise ValueError(f"order must be at least 1, got {m}")
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
+        raise InputError(f"order must be at least 1, got {m}")
+    p = _array(p, "base point", f.d, vector=True, dtype=np.complex128)
     table_E = graded_numbering(f.d, m)
     jets_f = jet_of_map(f, p, m)
     q = np.array([jf.coeffs[0] for jf in jets_f])
@@ -248,7 +248,7 @@ def gamma_check(D_mu: np.ndarray, D_hat: np.ndarray) -> float:
     D_mu = np.asarray(D_mu, dtype=np.float64)
     D_hat = np.asarray(D_hat, dtype=np.float64)
     if D_mu.shape != D_hat.shape or D_mu.ndim != 2 or D_mu.shape[0] != D_mu.shape[1]:
-        raise ValueError(f"shape mismatch: {D_mu.shape} vs {D_hat.shape}")
+        raise InputError(f"shape mismatch: {D_mu.shape} vs {D_hat.shape}")
     w, Q = np.linalg.eigh((D_mu + D_mu.T) / 2)
     if w.min() <= 0:
         raise NonPositiveDefiniteError(
@@ -263,7 +263,7 @@ def gamma_check(D_mu: np.ndarray, D_hat: np.ndarray) -> float:
 def theorem_rate(m: int, n: int, R_mu: float, Lambda_n: float, gamma: float) -> float:
     """Error-rate expression sqrt(m!/gamma) R_mu^n / sqrt(Lambda_n)."""
     if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+        raise InputError(f"gamma must be in (0, 1], got {gamma}")
     if Lambda_n <= 0:
-        raise ValueError(f"Lambda_n must be positive, got {Lambda_n}")
+        raise InputError(f"Lambda_n must be positive, got {Lambda_n}")
     return math.sqrt(math.factorial(m) / gamma) * R_mu ** n / math.sqrt(float(Lambda_n))

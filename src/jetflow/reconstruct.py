@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .fock import SampleSet, _real_points, basis_gradient_at_zero, feature_matrix_U
+from .fock import SampleSet, _array, basis_gradient_at_zero, feature_matrix_U
 from .maps import MapExpr, eval_map, eval_map_batch
 from .multiindex import graded_numbering, graded_powers, jet_dimension
 from .pushforward import PushforwardEstimate, estimate_pushforward, rank_checked_lstsq
@@ -23,7 +23,7 @@ def read_off(matrix: np.ndarray, p, q, m: int, Z) -> np.ndarray:
     feature build and one matrix product and gives a (P, r) array; a single
     point z gives a length-r vector.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
+    q = _array(q, "target base point", vector=True, dtype=np.complex128)
     G = np.column_stack([basis_gradient_at_zero(q, m, i) for i in range(1, q.shape[0] + 1)])
     out = feature_matrix_U(p, m, Z) @ (matrix.conj().T @ G.conj())
     return out if np.ndim(Z) == 2 else out[0]
@@ -38,14 +38,14 @@ def reconstruct_eval(estimate: PushforwardEstimate, p, q, m: int, z) -> np.ndarr
 
 def monomial_design(X, n: int) -> np.ndarray:
     """N x r_n matrix of plain monomials x^alpha in graded order."""
-    return graded_powers(np.atleast_2d(_real_points(X, "sample points")), n)
+    return graded_powers(_array(X, "sample points", dtype=np.float64), n)
 
 
 def truncated_lsq(X, Y, m: int, n: int) -> np.ndarray:
     """Degree-n least-squares polynomial fit, truncated to coefficients of degree <= m."""
     if not 1 <= m <= n:
         raise InputError(f"orders must satisfy 1 <= m <= n, got m={m}, n={n}")
-    X = np.atleast_2d(_real_points(X, "sample points"))
+    X = _array(X, "sample points", dtype=np.float64)
     Y = np.asarray(Y, dtype=np.complex128).ravel()
     if Y.shape[0] != X.shape[0]:
         raise InputError(f"{X.shape[0]} points but {Y.shape[0]} values")
@@ -66,10 +66,8 @@ def pipeline_and_lsq_coefficients(g: MapExpr, X, m: int, n: int
     """
     if g.r != 1:
         raise InputError(f"expected a scalar-valued map, got r={g.r}")
-    X = np.atleast_2d(_real_points(X, "sample points"))
     d = g.d
-    if X.shape[1] != d:
-        raise InputError(f"points have shape {X.shape}, expected (N, {d})")
+    X = _array(X, "sample points", d, dtype=np.float64)
     g0 = complex(eval_map(g, np.zeros(d))[0])
     if abs(g0.imag) > 1e-12:
         raise InputError(f"map value at 0 must be real, got {g0}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BlowupError, InputError, QuadratureConvergenceError, SpectrumError
 # perfbench/tracer.py wraps basis_gradient_at_zero under this module's name
-from .fock import SampleSet, _real_points, basis_gradient_at_zero  # noqa: F401
+from .fock import SampleSet, _array, basis_gradient_at_zero  # noqa: F401
 from .maps import MapExpr, eval_map, eval_map_batch
 from .pushforward import PushforwardEstimate
 from .reconstruct import read_off
@@ -74,9 +74,7 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
         raise InputError(f"vector field must be square, got d={V.d}, r={V.r}")
     if T <= 0:
         raise InputError(f"flow time must be positive, got {T}")
-    Z0 = np.atleast_2d(_real_points(Z0, "start points"))
-    if Z0.shape[1] != V.d:
-        raise InputError(f"initial points have shape {Z0.shape}, expected (N, {V.d})")
+    Z0 = _array(Z0, "start points", V.d, dtype=np.float64)
     # scipy's submodules load here, not at import: `import jetflow` stays light for runs that never flow
     from concurrent.futures import ThreadPoolExecutor
 
@@ -101,13 +99,12 @@ def flow_ensemble(V: MapExpr, T: float, Z0, tol: float = 1e-10) -> np.ndarray:
 
 def flow_map(V: MapExpr, T: float, z0, tol: float = 1e-10) -> np.ndarray:
     """Flow a single point forward by time T."""
-    z0 = np.atleast_1d(_real_points(z0, "start points"))
-    return flow_ensemble(V, T, z0[None, :], tol)[0]
+    return flow_ensemble(V, T, _array(z0, "start point", V.d, vector=True)[None, :], tol)[0]
 
 
 def flow_sample_set(V: MapExpr, T: float, Z, tol: float = 1e-10) -> SampleSet:
     """Pair sample points with their time-T flow images."""
-    Z = np.atleast_2d(_real_points(Z, "start points"))
+    Z = _array(Z, "start points", V.d, dtype=np.float64)
     return SampleSet(Z=Z, W=flow_ensemble(V, T, Z, tol))
 
 

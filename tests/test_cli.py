@@ -301,7 +301,7 @@ _NAN_CASES = [
 
 
 # (kind, key path, new value or _DROP, the one issue validate_config must report or None)
-@pytest.mark.parametrize("kind, path, value, issue", [
+_MUTATIONS = [
     (_PF, ("output_dir",), 3, ("output_dir", "must be a string")),
     (_HR, ("a",), "zero", ("a", "required number")),
     (_HR, ("r",), 0, ("r", "required positive number")),
@@ -346,7 +346,17 @@ _NAN_CASES = [
     *_NAN_CASES,
     (_VF, ("flow", "T"), math.inf, ("flow.T", "required positive number")),
     (_MR, ("sampling", "seed"), -1, ("sampling.seed", "must be an integer >= 0")),
-])
+]
+
+
+def _mutation_id(kind, path, value) -> str:
+    """A case's field path, its new value and its kind, as in sampling.seed=-1@map-reconstruction."""
+    shown = "<dropped>" if value is _DROP else json.dumps(value, separators=(",", ":"))
+    return f"{'.'.join(path)}={shown}@{kind}"
+
+
+@pytest.mark.parametrize("kind, path, value, issue", _MUTATIONS,
+                         ids=[_mutation_id(*case[:3]) for case in _MUTATIONS])
 def test_validate_config_reports_each_mutation(kind, path, value, issue):
     assert validate_config(_mutated(kind, path, value)) == ([] if issue is None else [issue])
 

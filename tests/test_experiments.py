@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import jetflow
 from jetflow import experiments, hankel
+from jetflow.errors import PrecisionError
 from jetflow.experiments import KINDS, demo_config, run_experiment
 
 
@@ -146,6 +148,41 @@ def test_bad_draw_is_an_error_row(tmp_path):
     _, rows, summary = experiments._run_pushforward_convergence(cfg)
     assert [row[-1] for row in rows] == ["error:InputError"] * 2
     assert summary["rows_ok"] == 0
+
+
+def test_an_uncertifiable_order_fails_only_its_rows(tmp_path, monkeypatch):
+    # the parity blocks are 2 and 2 at n = 3, 3 and 2 at n = 4, 4 and 4 at n = 7: only n = 4 holds a 3
+    certify = hankel._certified_smallest
+
+    def failing(rows, precision_bits, *basis):
+        if len(rows) == 3:
+            raise PrecisionError("no certificate at this precision")
+        return certify(rows, precision_bits, *basis)
+
+    monkeypatch.setattr(hankel, "_certified_smallest", failing)
+    rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4, 7], [200, 300])))
+    assert [(row["n"], row["status"], row["lambda_n"] == "") for row in rows] == [
+        ("3", "ok", False)] * 2 + [("4", "error:PrecisionError", True)] * 2 + [("7", "ok", False)] * 2
+
+
+def test_lambda_below_float64s_range_is_printed(tmp_path):
+    # a support of radius 1e-30: the certified lambda_n at n = 12 is 9.18e-728, a float64 0
+    cfg = _sweep_config(tmp_path, [8, 12], [400])
+    cfg["sampling"]["support_radii"] = [1e-30]
+    rows = _rows(run_experiment(cfg))
+    assert [mpmath.nstr(mpmath.mpf(row["lambda_n"]), 3) for row in rows] == ["2.33e-485", "9.18e-728"]
+
+
+def test_an_underflowing_lambda_leaves_the_rate_bound_empty(tmp_path, monkeypatch):
+    tiny = mpmath.ldexp(1, -1400)
+    monkeypatch.setattr(hankel, "_certified_smallest", lambda rows, bits, *basis: tiny)
+    rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4], [300])))
+    assert [(row["status"], row["lambda_n"], row["rate_bound"]) for row in rows] == [
+        ("ok", mpmath.nstr(tiny, 17), "")] * 2
+    # a float64 lambda keeps %.17g, and the rate bound is written
+    monkeypatch.undo()
+    rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4], [300])))
+    assert all(row["lambda_n"] == f"{float(row['lambda_n']):.17g}" and row["rate_bound"] for row in rows)
 
 
 def test_import_and_validate_leave_scipy_submodules_unloaded():
