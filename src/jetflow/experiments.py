@@ -155,6 +155,7 @@ def validate_config(cfg: Any) -> list[tuple[str, str]]:
 
     if kind != "lsq-equivalence":
         _need(issues, "base_point", _numbers(cfg.get("base_point"), d), f"required {list_of} numbers")
+    if kind == "pushforward-convergence":  # the one runner that reads it, for R_mu
         domain = cfg.get("domain")
         if _need(issues, "domain", isinstance(domain, dict), "required object"):
             shape = domain.get("kind")
@@ -416,9 +417,14 @@ def _run_hankel_rates(cfg: dict) -> Table:
     gap = None
     for spec in hankel_spectrum_sweep(a, r, cfg["n_max"], bits):
         lam = float(spec.Lambda)
-        rate = float(-math.log(lam) / (2 * spec.n + 2)) if lam > 0 else None
-        gap = rate - target if rate is not None else None
-        rows.append([spec.n, lam, rate, target, gap, "ok"])
+        if lam > 0:
+            rate = -math.log(lam) / (2 * spec.n + 2)
+        else:  # the table is positive definite, so its certified mpf is below float64's range
+            import mpmath
+
+            rate = float(-mpmath.log(spec.Lambda) / (2 * spec.n + 2))
+        gap = rate - target
+        rows.append([spec.n, spec.Lambda, rate, target, gap, "ok"])
     summary = {"final_gap": gap, "log_sigma": target, "precision_bits": bits}
     return header, rows, summary
 
@@ -494,7 +500,6 @@ _DEMOS = {
         "r": 1,
         "map": "exp(z1) - 1",
         "base_point": [0.0],
-        "domain": {"kind": "box", "radii": [1.0]},
         "orders": {"m": 6, "n": 8},
         "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.5], "seed": 7},
         "eval": {"radii": [0.3], "points_per_axis": 61},
@@ -515,7 +520,6 @@ _DEMOS = {
         "d": 1,
         "map": "-z1 + 0.2*z1^2",
         "base_point": [0.0],
-        "domain": {"kind": "box", "radii": [1.0]},
         "orders": {"m": 5, "n": 8},
         "flow": {"T": 0.1, "tol": 1e-10},
         "sampling": {"scheme": "halton", "N": 4000, "support_radii": [0.4], "seed": 7},

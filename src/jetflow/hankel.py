@@ -6,11 +6,12 @@ the exact zero pattern of the matrix splits it into (the parity classes of a
 measure symmetric about its centre).  Each block's value is a hint at a
 requested mantissa width b, certified to relative width 2**(-b // 4) by two
 Sylvester inertia counts in exact rational arithmetic, which stay exact far
-below the double-precision underflow of the spectrum.  The hint is the block's
-mpmath.eigsy value, or, for a box table given its orthonormal basis
-(box_basis: tensor Legendre coefficients, exact), the basis's Rayleigh
-quotient 1/||B v||^2 at B's top right singular vector v, a well-conditioned
-largest singular value; the proof is the same for both.
+below the double-precision underflow of the spectrum.  A box table is hinted
+by its box's orthonormal basis (box_basis: tensor Legendre coefficients,
+exact): the basis's Rayleigh quotient 1/||B v||^2 at B's top right singular
+vector v, a well-conditioned largest singular value.  Every box table in the
+package takes that hint; a matrix given without a basis is hinted by
+mpmath.eigsy, the general path.  The proof is the same for both.
 """
 
 from __future__ import annotations
@@ -229,6 +230,12 @@ def _mpf(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+def _ldexp(x: Fraction, k: int) -> float:
+    """x * 2**k, correctly rounded, for a rational x whose own float may overflow."""
+    num, den = x.numerator, x.denominator
+    return (num << k) / den if k >= 0 else num / (den << -k)
+
+
 def _basis_quotient(Q: list[list[Fraction]], W: list[Fraction], v: list[Fraction]) -> Fraction:
     """||v||^2 / ||B v||^2 for B = diag(W)^(1/2) Q, exactly: 1 / the Rayleigh quotient of B^T B at v."""
     Bv2 = sum(w * sum(q * x for q, x in zip(row, v) if q) ** 2 for row, w in zip(Q, W))
@@ -251,11 +258,13 @@ def _basis_hint(rows: list[list[Fraction]], Q: list[list[Fraction]], W: list[Fra
     """
     import mpmath
 
-    # 2^-e B has B's singular vectors; e > 0 only where Q's largest entry would overflow float64
-    e = max(0, max(abs(q.numerator).bit_length() - q.denominator.bit_length()
-                   for row in Q for q in row) - 1000)
-    B = np.sqrt([float(w) for w in W])[:, None] * np.array(
-        [[q.numerator / (q.denominator << e) for q in row] for row in Q])
+    # row i of B is 2^h_i (W_i / 4^h_i)^(1/2) Q_i, whose square root lies in (0.7, 2); 2^-e B has
+    # B's singular vectors, and e > 0 only where an entry of B would overflow float64
+    h = [(w.numerator.bit_length() - w.denominator.bit_length()) // 2 for w in W]
+    e = max(0, max(k + abs(q.numerator).bit_length() - q.denominator.bit_length()
+                   for row, k in zip(Q, h) for q in row) - 1000)
+    B = np.sqrt([_ldexp(w, -2 * k) for w, k in zip(W, h)])[:, None] * np.array(
+        [[_ldexp(q, k - e) for q in row] for row, k in zip(Q, h)])
     v = [Fraction(x) for x in np.linalg.svd(B)[2][0]]
     lam = _basis_quotient(Q, W, v)
     with mpmath.workprec(precision_bits):
@@ -276,8 +285,8 @@ def _basis_hint(rows: list[list[Fraction]], Q: list[list[Fraction]], W: list[Fra
 def _certified_smallest(rows: list[list[Fraction]], precision_bits: int, *basis):
     """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue.
 
-    The hint is the block's mpmath.eigsy value, or, given the block's basis
-    table Q, W, its _basis_hint; the proof is the same for both.
+    The hint is, given the block's basis table Q, W, its _basis_hint, or else
+    the block's mpmath.eigsy value; the proof is the same for both.
     """
     import mpmath
 
@@ -315,22 +324,22 @@ def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = 
     of the exact nonzero pattern: up to a permutation D is block-diagonal over
     them (2**d parity blocks for a box centred at 0, one block for a dense
     matrix), so its smallest eigenvalue is the minimum over the blocks.  Each
-    block's value is its smallest eigenvalue from mpmath.eigsy at
-    `precision_bits`, and two exact inertia counts of the block at dyadic
-    points t_lo < value < t_hi prove that no eigenvalue lies below t_lo and at
-    least one lies below t_hi, with relative width (t_hi - t_lo)/|value| about
-    2**(-precision_bits // 4).  A relative width cannot bracket an exact 0, so
-    when either count fails a third exact count at t = 0 certifies a singular
-    positive semidefinite block, whose value is 0.  Otherwise PrecisionError
-    asks for more bits; every block is certified, and nothing uncertified is
-    returned.
+    block's value is a hint at `precision_bits`, and two exact inertia counts
+    of the block at dyadic points t_lo < value < t_hi prove that no eigenvalue
+    lies below t_lo and at least one lies below t_hi, with relative width
+    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  A relative width
+    cannot bracket an exact 0, so when either count fails a third exact count
+    at t = 0 certifies a singular positive semidefinite block, whose value is
+    0.  Otherwise PrecisionError asks for more bits; every block is certified,
+    and nothing uncertified is returned.
 
-    `basis`, when given, is box_basis(measure, k) for the box whose moments D
-    holds, at any k whose table has at least D's rows (its leading block
-    serves).  Each block's value is then the basis's exact Rayleigh quotient
-    rather than eigsy's (see _basis_hint), and the proof is unchanged: a basis
-    of another measure gives a hint the counts reject, so it costs a
-    PrecisionError, never a wrong value.
+    The hint is the basis's exact Rayleigh quotient (see _basis_hint) when
+    `basis` is given, and the block's smallest eigenvalue from mpmath.eigsy
+    otherwise: the general path, for any symmetric matrix.  `basis` is
+    box_basis(measure, k) for the box whose moments D holds, at any k whose
+    table has at least D's rows (its leading block serves); every box table in
+    the package is certified this way.  A basis of another measure gives a
+    hint the counts reject, so it costs a PrecisionError, never a wrong value.
 
     `memo`, when given, maps (precision_bits, whether a basis gave the hint,
     a block's exact entries) to its certified value: a block already in it is
@@ -374,14 +383,18 @@ def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = 
 def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[HankelSpectrum]:
     """Certified smallest eigenvalues of the leading blocks, n = 0..n_max, of one interval Hankel table.
 
+    One exact table and one basis at n_max serve every order through their
+    leading blocks, and each block is hinted by the basis.
     The n calls share one memo, so each distinct exact block is certified
     once: at a = 0 the n_max + 1 tables hold 2 n_max + 1 parity blocks of
     which n_max + 1 are distinct, while an off-centre table is one dense
     block that grows with every n, so nothing repeats.
     """
-    table = lebesgue_hankel(a, r, n_max)
+    mu = MeasureSpec.uniform_box([a], [r], normalized=False)
+    table, basis = moment_matrix(mu, n_max, exact=True), box_basis(mu, n_max)
     memo: dict = {}
-    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits, memo=memo)
+    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits,
+                                memo=memo, basis=basis)
             for n in range(n_max + 1)]
 
 
@@ -418,7 +431,9 @@ def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
     with mpmath.workprec(precision_bits):
         prod = mpmath.mpf(1)
         for c, r in zip(center, radii):
-            prod *= smallest_eigenvalue(lebesgue_hankel(c, r, n), precision_bits).Lambda
+            mu = MeasureSpec.uniform_box([c], [r], normalized=False)
+            prod *= smallest_eigenvalue(moment_matrix(mu, n, exact=True), precision_bits,
+                                        basis=box_basis(mu, n)).Lambda
         return float(prod)
 
 

@@ -264,6 +264,6 @@ def theorem_rate(m: int, n: int, R_mu: float, Lambda_n: float, gamma: float) -> 
     """Error-rate expression sqrt(m!/gamma) R_mu^n / sqrt(Lambda_n)."""
     if not 0 < gamma <= 1:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    if Lambda_n <= 0:
+    if not float(Lambda_n) > 0:  # below float64's range or NaN too
         raise InputError(f"Lambda_n must be positive, got {Lambda_n}")
     return math.sqrt(math.factorial(m) / gamma) * R_mu ** n / math.sqrt(float(Lambda_n))

@@ -1,5 +1,6 @@
 """Every argument check outside hankel and sampling raises InputError, a JetflowError and a ValueError."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,9 @@ ARGUMENT_CHECKS = {
     "pushforward-gamma-shapes": _call(gamma_check, np.eye(2), np.eye(3)),
     "pushforward-rate-gamma": _call(theorem_rate, 1, 1, 0.5, 1.0, 0.0),
     "pushforward-rate-lambda": _call(theorem_rate, 1, 1, 0.5, 0.0, 0.5),
+    # a certified Lambda_n below float64's range, whose float is 0
+    "pushforward-rate-lambda-underflow": _call(theorem_rate, 3, 12, 0.5, mpmath.mpf("1e-400"), 0.5),
+    "pushforward-rate-lambda-nan": _call(theorem_rate, 1, 1, 0.5, float("nan"), 0.5),
     "jets-coefficients": _call(Jet, graded_numbering(1, 2), [1.0]),
     "jets-variable": _call(variable_jet, graded_numbering(1, 2), 2),
     "jets-tables": _call(jet_add, _variable(2), _variable(3)),

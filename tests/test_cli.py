@@ -271,7 +271,7 @@ def test_validate_config_without_d_reports_lists_of_any_length():
     cfg["d"] = 0
     cfg["sampling"].update(scheme="sobol", support_radii=[], support_center="origin")
     cfg["base_point"] = [0.0, "x"]
-    cfg["domain"]["radii"] = [-1.0]
+    cfg["domain"] = {"kind": "box", "radii": [-1.0]}  # this kind does not read a domain
     cfg["eval"]["radii"] = [0.3, 0.0]
     cfg["orders"]["n"] = 2
     assert validate_config(cfg) == [
@@ -280,9 +280,15 @@ def test_validate_config_without_d_reports_lists_of_any_length():
         ("sampling.support_radii", "required list of positive numbers"),
         ("sampling.support_center", "must be a list of numbers"),
         ("base_point", "required list of numbers"),
-        ("domain.radii", "required list of positive numbers"),
         ("orders.n", "required integer >= m (6)"),
         ("eval.radii", "required list of positive numbers"),
+    ]
+    cfg = demo_config("pushforward-convergence")
+    cfg["d"] = 0
+    cfg["domain"]["radii"] = [1.0, -1.0]
+    assert validate_config(cfg) == [
+        ("d", "required integer >= 1"),
+        ("domain.radii", "required list of positive numbers"),
     ]
 
 
@@ -332,11 +338,11 @@ _MUTATIONS = [
     (_MR, ("sampling", "support_center"), [0.0, 0.0],
      ("sampling.support_center", "must be a list of 1 numbers")),
     (_MR, ("sampling", "seed"), 1.5, ("sampling.seed", "must be an integer >= 0")),
-    (_MR, ("domain",), [], ("domain", "required object")),
-    (_MR, ("domain", "radii"), [0.0], ("domain.radii", "required list of 1 positive numbers")),
-    (_MR, ("domain",), {"kind": "ball", "radius": -1.0}, ("domain.radius", "required positive number")),
-    (_MR, ("domain",), {"kind": "ball", "radius": 1.0}, None),
-    (_MR, ("domain", "kind"), "disk", ("domain.kind", "required 'box' or 'ball'")),
+    (_PF, ("domain",), [], ("domain", "required object")),
+    (_PF, ("domain", "radii"), [0.0], ("domain.radii", "required list of 1 positive numbers")),
+    (_PF, ("domain",), {"kind": "ball", "radius": -1.0}, ("domain.radius", "required positive number")),
+    (_PF, ("domain",), {"kind": "ball", "radius": 1.0}, None),
+    (_PF, ("domain", "kind"), "disk", ("domain.kind", "required 'box' or 'ball'")),
     (_MR, ("eval",), _DROP, ("eval", "required object with radii and points_per_axis")),
     (_MR, ("eval", "radii"), "0.3", ("eval.radii", "required list of 1 positive numbers")),
     (_MR, ("eval", "points_per_axis"), 0, ("eval.points_per_axis", "required integer >= 1")),
@@ -374,7 +380,8 @@ def _mutated(kind, path, value):
     return cfg
 
 
-@pytest.mark.parametrize("kind, path, value, issue", _NAN_CASES)
+@pytest.mark.parametrize("kind, path, value, issue", _NAN_CASES,
+                         ids=[_mutation_id(*case[:3]) for case in _NAN_CASES])
 def test_nan_config_number_exits_2(tmp_path, capsys, kind, path, value, issue):
     path = _run_exits_2_on(tmp_path, capsys, _mutated(kind, path, value), issue)
     assert "NaN" in open(path).read()
@@ -396,8 +403,9 @@ def _wide(kind, scheme, d=21):
     """The demo config of kind in d dimensions, drawn by scheme."""
     cfg = demo_config(kind)
     cfg["d"], cfg["base_point"] = d, [0.0] * d
-    cfg["domain"]["radii"] = [1.0] * d
     cfg["sampling"].update(scheme=scheme, support_radii=[0.5] * d)
+    if "domain" in cfg:
+        cfg["domain"]["radii"] = [1.0] * d
     if "eval" in cfg:
         cfg["eval"]["radii"] = [0.3] * d
     return cfg

@@ -173,6 +173,19 @@ def test_lambda_below_float64s_range_is_printed(tmp_path):
     assert [mpmath.nstr(mpmath.mpf(row["lambda_n"]), 3) for row in rows] == ["2.33e-485", "9.18e-728"]
 
 
+def test_hankel_rates_writes_a_lambda_below_float64s_range(tmp_path):
+    # an interval of radius 1e-30: lambda_n is a float64 0 from n = 7 on, 1.84e-757 at n = 12
+    cfg = {"kind": "hankel-rates", "a": 0.0, "r": 1e-30, "n_max": 12, "output_dir": str(tmp_path)}
+    rows = _rows(run_experiment(cfg))
+    assert [row["n"] for row in rows] == [str(n) for n in range(13)]
+    assert mpmath.nstr(mpmath.mpf(rows[-1]["lambda_n"]), 5) == "1.8355e-757"
+    for n, row in enumerate(rows):
+        lam = mpmath.mpf(row["lambda_n"])
+        assert row["status"] == "ok" and lam > 0
+        assert float(row["rate"]) == pytest.approx(float(-mpmath.log(lam) / (2 * n + 2)), rel=1e-15)
+        assert float(row["gap"]) == pytest.approx(float(row["rate"]) - float(row["log_sigma"]), abs=1e-13)
+
+
 def test_an_underflowing_lambda_leaves_the_rate_bound_empty(tmp_path, monkeypatch):
     tiny = mpmath.ldexp(1, -1400)
     monkeypatch.setattr(hankel, "_certified_smallest", lambda rows, bits, *basis: tiny)

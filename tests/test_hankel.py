@@ -10,6 +10,7 @@ from jetflow.errors import PrecisionError
 from jetflow.hankel import (
     MeasureSpec,
     _blocks,
+    box_basis,
     decay_rate_check,
     hankel_spectrum_sweep,
     lebesgue_hankel,
@@ -277,22 +278,31 @@ def test_float_asymmetry_below_any_tolerance_rejected():
         smallest_eigenvalue(np.array([[1.0, 0.5 + 2.0 ** -52], [0.5, 1.0]]), 128)
 
 
+def _alone(a, r, n):
+    """The certified lambda_n of the interval's table at order n alone, hinted by its own order's basis."""
+    mu = MeasureSpec.uniform_box([a], [r], normalized=False)
+    return smallest_eigenvalue(lebesgue_hankel(a, r, n), basis=box_basis(mu, n)).Lambda
+
+
 def test_sweep_equals_each_order_on_its_own():
-    # a non-centred interval: each matrix is one dense block
+    # a non-centred interval: each matrix is one dense block; the sweep hints through the
+    # leading blocks of its basis at n_max, which are each order's own basis
     specs = hankel_spectrum_sweep(0.3, 0.7, 12)
     assert [s.n for s in specs] == list(range(13))
     for n, spec in enumerate(specs):
-        assert spec.Lambda == smallest_eigenvalue(lebesgue_hankel(0.3, 0.7, n)).Lambda
+        assert spec.Lambda == _alone(0.3, 0.7, n)
 
 
-def _count_certificates(monkeypatch) -> list[int]:
-    """Sizes of the blocks that hankel._certified_smallest certifies from now on."""
+def _count_certificates(monkeypatch, hinted_by_basis: bool = True) -> list[int]:
+    """Sizes of the blocks that hankel._certified_smallest certifies from now on, each given a basis
+    unless hinted_by_basis is False."""
     sizes = []
     certify = hankel._certified_smallest
 
-    def counted(rows, precision_bits):
+    def counted(rows, precision_bits, *basis):
+        assert bool(basis) == hinted_by_basis
         sizes.append(len(rows))
-        return certify(rows, precision_bits)
+        return certify(rows, precision_bits, *basis)
 
     monkeypatch.setattr(hankel, "_certified_smallest", counted)
     return sizes
@@ -306,7 +316,7 @@ def test_centred_sweep_certifies_each_distinct_block_once(monkeypatch):
     assert sizes == [1] + [n // 2 + 1 for n in range(1, 21)]
     sizes.clear()
     for n in (0, 1, 7, 20):
-        assert specs[n].Lambda == smallest_eigenvalue(lebesgue_hankel(0.0, 1.0, n)).Lambda
+        assert specs[n].Lambda == _alone(0.0, 1.0, n)
     assert len(sizes) == 1 + 2 + 2 + 2
 
 
@@ -323,7 +333,7 @@ def test_shared_memo_gives_each_matrix_its_own_value(monkeypatch):
     A, B = lebesgue_hankel(0.0, 1.0, 4), lebesgue_hankel(0.0, 0.5, 4)
     alone = [smallest_eigenvalue(A).Lambda, smallest_eigenvalue(B).Lambda,
              smallest_eigenvalue(A, 64).Lambda]
-    sizes = _count_certificates(monkeypatch)
+    sizes = _count_certificates(monkeypatch, hinted_by_basis=False)
     memo = {}
     shared = [smallest_eigenvalue(A, memo=memo).Lambda, smallest_eigenvalue(B, memo=memo).Lambda,
               smallest_eigenvalue(A, 64, memo=memo).Lambda]

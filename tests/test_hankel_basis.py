@@ -1,5 +1,6 @@
 """The box's orthonormal basis table, the eigenvalue hint it gives, and hankel's argument checks."""
 
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -7,12 +8,16 @@ import numpy as np
 import pytest
 
 from jetflow.errors import InputError, JetflowError, PrecisionError
+from jetflow.experiments import demo_config, run_experiment
 from jetflow.hankel import (
     MeasureSpec,
     _body_args,
     box_basis,
+    decay_rate_check,
+    hankel_spectrum_sweep,
     lebesgue_hankel,
     moment_matrix,
+    rectangle_lower_bound,
     sample_complexity,
     sigma,
     smallest_eigenvalue,
@@ -114,6 +119,44 @@ def test_basis_certifies_a_box_whose_coefficients_overflow_float64():
         assert 0 < spec.Lambda < min(mpmath.mpf(D[i][i].numerator) / D[i][i].denominator
                                      for i in range(len(D)))
         assert mpmath.mpf("9.17e-728") < spec.Lambda < mpmath.mpf("9.18e-728")
+
+
+@pytest.mark.parametrize("radius, n", [(1e-30, 12), (1e-60, 8), (1e-100, 6), (1e-150, 4)])
+def test_basis_of_a_weight_1_table_of_small_radius_stays_finite(radius, n):
+    # W ~ 1/radius: the float64 B = W^(1/2) Q overflows unless its shift counts W as well as Q
+    mu = MeasureSpec.uniform_box([0.0], [radius], normalized=False)
+    D = moment_matrix(mu, n, exact=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = smallest_eigenvalue(D, 256, basis=box_basis(mu, n))
+    assert spec.certified and spec.Lambda > 0
+
+
+def test_no_box_table_is_hinted_by_eigsy(monkeypatch, tmp_path):
+    def eigsy(*args, **kwargs):
+        raise AssertionError("a box table was hinted by mpmath.eigsy")
+
+    monkeypatch.setattr(mpmath, "eigsy", eigsy)
+    assert len(hankel_spectrum_sweep(0.0, 1.0, 20)) == 21
+    assert rectangle_lower_bound([0.0, 0.0], [1.0, 1.0], 4) > 0
+    assert len(decay_rate_check(0.0, 1.0, 8)) == 9
+    for kind in ("hankel-rates", "pushforward-convergence"):
+        cfg = demo_config(kind)
+        cfg["output_dir"] = str(tmp_path / kind)
+        run_experiment(cfg)
+
+
+def test_sweep_of_a_narrow_interval_certifies_every_order():
+    # eigsy's 256-bit hint for this table is wrong from n = 14 on; the basis's is not
+    specs = hankel_spectrum_sweep(0.0, 0.01, 20)
+    assert [s.n for s in specs] == list(range(21)) and all(s.certified for s in specs)
+    assert all(a.Lambda > b.Lambda > 0 for a, b in zip(specs, specs[1:]))
+    with mpmath.workprec(512):
+        ref = min(mpmath.eigsy(mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                                              for row in lebesgue_hankel(0.0, 0.01, 20)]),
+                               eigvals_only=True))
+        assert abs(specs[20].Lambda - ref) <= mpmath.mpf("1e-12") * ref
+    assert float(ref) == pytest.approx(2.8226315634480726e-94, rel=1e-12)
 
 
 def test_basis_leading_block_serves_a_smaller_matrix():
