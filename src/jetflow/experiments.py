@@ -5,6 +5,11 @@ row appears, failed rows carry an error status) plus run_manifest.json echoing
 the config, seed, library versions, and a summary.  CSV bodies are
 deterministic for a fixed config; only the manifest carries a timestamp.
 Each kind has one runner: kind -> _RUNNERS[kind] -> `<kind>.csv`, with "_" for "-".
+
+Importing this module, validating a config, writing a demo config and
+rejecting an invalid one load no numpy, scipy or mpmath: the map grammar
+comes from `jetflow.grammar`, and the runners' numerical names are bound by
+`_numerics()` on a runner's first call or on first access as an attribute.
 """
 
 from __future__ import annotations
@@ -12,45 +17,61 @@ from __future__ import annotations
 import copy
 import csv
 import datetime
+import importlib
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from . import __version__
 from ._blas import calling_thread
 from .errors import ConfigError, InputError, JetflowError, MapSyntaxError
-from .fock import DomainSpec, SampleSet, measure_radii
-from .hankel import (
-    MeasureSpec,
-    box_basis,
-    hankel_spectrum_sweep,
-    moment_matrix,
-    sigma,
-    smallest_eigenvalue,
-)
-from .maps import MapExpr, eval_map_batch, parse_map
-from .multiindex import graded_numbering, jet_dimension
-from .pushforward import (
-    estimate_pushforward,
-    fold_pushforward,
-    gamma_check,
-    oracle_pushforward,
-    theorem_rate,
-)
-from .reconstruct import pipeline_and_lsq_coefficients, reconstruct_eval
-from .sampling import _PRIMES, _SCHEMES, _tensor_grid, draw_samples
-from .vectorfield import (
-    bound_B,
-    check_equilibrium,
-    estimate_generator,
-    flow_sample_set,
-    reconstruct_field,
-)
+from .grammar import _PRIMES, _SCHEMES, MapExpr, parse_map
+
+# the numerical names the runners use -> the module that defines them; `_numerics()`
+# binds them into this module on a runner's first call or a first attribute access
+_NUMERICS = {
+    "np": "numpy",  # the module itself
+    **dict.fromkeys(("DomainSpec", "SampleSet", "measure_radii"), ".fock"),
+    **dict.fromkeys(("MeasureSpec", "box_basis", "hankel_spectrum_sweep", "moment_matrix",
+                     "sigma", "smallest_eigenvalue"), ".hankel"),
+    "eval_map_batch": ".maps",
+    **dict.fromkeys(("graded_numbering", "jet_dimension"), ".multiindex"),
+    **dict.fromkeys(("estimate_pushforward", "fold_pushforward", "gamma_check",
+                     "oracle_pushforward", "theorem_rate"), ".pushforward"),
+    **dict.fromkeys(("pipeline_and_lsq_coefficients", "reconstruct_eval"), ".reconstruct"),
+    **dict.fromkeys(("_tensor_grid", "draw_samples"), ".sampling"),
+    **dict.fromkeys(("bound_B", "check_equilibrium", "estimate_generator", "flow_sample_set",
+                     "reconstruct_field"), ".vectorfield"),
+}
+_loaded = False
+
+
+def _numerics() -> None:
+    """Bind every name of _NUMERICS into this module's globals, once.
+
+    A name bound already, by a caller that patched it first, keeps its value;
+    the loaded marker is bound last, so no thread sees a half-bound module.
+    """
+    global _loaded
+    if _loaded:
+        return
+    scope = globals()
+    for name, module in _NUMERICS.items():
+        value = importlib.import_module(module, __package__)
+        scope.setdefault(name, value if name == "np" else getattr(value, name))
+    _loaded = True
+
+
+def __getattr__(name: str):
+    if name not in _NUMERICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numerics()
+    return globals()[name]
+
 
 OUTPUT_ENV = "JETFLOW_OUTPUT_DIR"
 
@@ -206,7 +227,7 @@ def _fmt(x) -> str:
     """A CSV cell: a number as %.17g of its float, a certified mpf below float64's range in 17 digits."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     if isinstance(x, str):
         return x
@@ -228,6 +249,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_manifest(outdir: Path, cfg: dict, summary: dict) -> Path:
     import mpmath
+    import numpy as np
     import scipy
 
     manifest = {
@@ -311,6 +333,7 @@ Table = tuple[list[str], list[list], dict]  # CSV header, CSV rows, summary
 
 
 def _run_pushforward_convergence(cfg: dict) -> Table:
+    _numerics()
     f, p = _map_and_point(cfg, cfg["r"])
     domain = _domain_spec(cfg)
     measure, scheme, seed = _sampling_pieces(cfg)
@@ -373,6 +396,7 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
 
 
 def _run_map_reconstruction(cfg: dict) -> Table:
+    _numerics()
     f, p = _map_and_point(cfg, cfg["r"])
     measure, scheme, seed = _sampling_pieces(cfg)
     m, n = cfg["orders"]["m"], cfg["orders"]["n"]
@@ -387,6 +411,7 @@ def _run_map_reconstruction(cfg: dict) -> Table:
 
 
 def _run_lsq_equivalence(cfg: dict) -> Table:
+    _numerics()
     d = cfg["d"]
     g = parse_map(cfg["map"], d, 1)
     measure, scheme, seed = _sampling_pieces(cfg)
@@ -409,6 +434,7 @@ def _run_lsq_equivalence(cfg: dict) -> Table:
 
 
 def _run_hankel_rates(cfg: dict) -> Table:
+    _numerics()
     a, r = cfg["a"], cfg["r"]
     bits = cfg.get("precision_bits", 256)
     target = math.log(sigma(a, r))
@@ -430,6 +456,7 @@ def _run_hankel_rates(cfg: dict) -> Table:
 
 
 def _run_vectorfield_recovery(cfg: dict) -> Table:
+    _numerics()
     V, p = _map_and_point(cfg, cfg["d"])
     try:
         check_equilibrium(V, p)

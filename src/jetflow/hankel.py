@@ -399,15 +399,28 @@ def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 
 
 
 def sigma(a: float, r: float) -> float:
-    """Decay base of interval Hankel spectra; branch keyed on |a| + a^2 - r^2."""
+    """Decay base of interval Hankel spectra; branch keyed on the sign of |a| + a^2 - r^2.
+
+    Where a square could leave float64's normal range (r outside [1e-150, 1e150],
+    |a| or q above 1e150), the sign is read off (|a| + a^2 - r^2) / r and each
+    root is taken of the two factors of its square, so no square under- or
+    overflows; elsewhere the plain formula runs, bit for bit.
+    """
     if r <= 0:
         raise InputError("interval radius must be positive")
-    t = abs(a) + a * a - r * r
+    a = abs(a)
+    squares = 1e-150 <= r <= 1e150 and a <= 1e150  # a * a and r * r are normal floats
+    t = a + a * a - r * r if squares else (a / r) * (1.0 + a) - r
     if t >= 0:
-        q = (abs(a) + 1.0) / r
-        return q + math.sqrt(q * q - 1.0)
-    s = 1.0 / (r * r - a * a)
-    return math.sqrt(s + 1.0) + math.sqrt(s)
+        q = (a + 1.0) / r
+        if q <= 1e150:
+            return q + math.sqrt(q * q - 1.0)
+        return q + math.sqrt(q - 1.0) * math.sqrt(q + 1.0)
+    if squares:
+        s = 1.0 / (r * r - a * a)
+        return math.sqrt(s + 1.0) + math.sqrt(s)
+    u = math.sqrt(r - a) * math.sqrt(r + a)  # sqrt(r^2 - a^2), and sigma = (1 + sqrt(1 + u^2)) / u
+    return (1.0 + math.hypot(1.0, u)) / u
 
 
 def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[tuple[int, float]]:

@@ -7,11 +7,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
+from .grammar import _PRIMES, _SCHEMES
 from .hankel import MeasureSpec
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-
-_SCHEMES = ("iid", "grid", "halton")
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:

@@ -356,8 +356,13 @@ _MUTATIONS = [
 
 
 def _mutation_id(kind, path, value) -> str:
-    """A case's field path, its new value and its kind, as in sampling.seed=-1@map-reconstruction."""
+    """A case's field path, its new value and its kind, as in sampling.seed=-1@map-reconstruction.
+
+    A space in the value is shown as its JSON escape, so that no ID holds whitespace
+    for a listing to collapse; json.dumps escapes every other whitespace character.
+    """
     shown = "<dropped>" if value is _DROP else json.dumps(value, separators=(",", ":"))
+    shown = shown.replace(" ", r"\u0020")
     return f"{'.'.join(path)}={shown}@{kind}"
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,17 @@ def test_hankel_rates_writes_a_lambda_below_float64s_range(tmp_path):
         assert float(row["rate"]) == pytest.approx(float(-mpmath.log(lam) / (2 * n + 2)), rel=1e-15)
         assert float(row["gap"]) == pytest.approx(float(row["rate"]) - float(row["log_sigma"]), abs=1e-13)
 
+
+
+def test_hankel_rates_on_a_tiny_interval_writes_a_finite_log_sigma(tmp_path):
+    # r * r underflows: log(sigma) is log(2e300) and log(3e200), not inf
+    for a, r, log_sigma in ((0.0, 1e-300, 691.4686750787737), (0.5, 1e-200, 461.6156308874773)):
+        cfg = {"kind": "hankel-rates", "a": a, "r": r, "n_max": 3, "output_dir": str(tmp_path)}
+        rows = _rows(run_experiment(cfg))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        for row in rows:
+            assert float(row["log_sigma"]) == pytest.approx(log_sigma, rel=1e-15)
+            assert math.isfinite(float(row["gap"]))
 
 def test_an_underflowing_lambda_leaves_the_rate_bound_empty(tmp_path, monkeypatch):
     tiny = mpmath.ldexp(1, -1400)

@@ -376,6 +376,14 @@ def test_sigma_branches_agree_at_boundary():
     assert sigma(a, r) == pytest.approx(up, abs=1e-12)
 
 
+
+def test_sigma_stays_finite_where_a_square_leaves_float64s_range():
+    # r * r underflows to 0 below r = 1e-162, and q * q overflows above q = 1.3e154
+    assert sigma(0.0, 1e-300) == pytest.approx(2e300, rel=1e-15)
+    assert sigma(0.5, 1e-200) == pytest.approx(3e200, rel=1e-15)
+    assert sigma(1e-300, 1e-300) == pytest.approx(2e300, rel=1e-15)
+    assert sigma(1e200, 1.0) == pytest.approx(2e200, rel=1e-15)
+
 def test_decay_rate_approaches_log_sigma():
     rates = dict(decay_rate_check(0.0, 1.0, 20, 256))
     target = math.log(sigma(0.0, 1.0))
