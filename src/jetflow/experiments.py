@@ -36,8 +36,9 @@ from .grammar import _PRIMES, _SCHEMES, MapExpr, parse_map
 _NUMERICS = {
     "np": "numpy",  # the module itself
     **dict.fromkeys(("DomainSpec", "SampleSet", "measure_radii"), ".fock"),
-    **dict.fromkeys(("MeasureSpec", "box_basis", "hankel_spectrum_sweep", "moment_matrix",
-                     "sigma", "smallest_eigenvalue"), ".hankel"),
+    # no runner calls smallest_eigenvalue: perfbench/tracer.py wraps it under this module's name
+    **dict.fromkeys(("BoxSpectrum", "MeasureSpec", "_decay_rate", "hankel_spectrum_sweep",
+                     "moment_matrix", "sigma", "smallest_eigenvalue"), ".hankel"),
     "eval_map_batch": ".maps",
     **dict.fromkeys(("graded_numbering", "jet_dimension"), ".multiindex"),
     **dict.fromkeys(("estimate_pushforward", "fold_pushforward", "gamma_check",
@@ -232,7 +233,7 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     v = float(x)
-    if v == 0 and x != 0:  # only an mpf underflows, so mpmath is loaded already
+    if abs(v) < sys.float_info.min and x != 0:  # below float64's normal range, print x's own digits
         import mpmath
 
         return mpmath.nstr(x, 17)
@@ -354,21 +355,17 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
                          moment_matrix(MeasureSpec.empirical(Z0), n_max))
         except JetflowError as exc:
             folded[N] = exc  # every row of this N carries it
-    exact_rows = moment_matrix(measure, n_max, exact=True)
-    # the box's orthonormal basis gives each block's eigenvalue hint; its leading blocks serve every n
-    basis = box_basis(measure, n_max)
+    spectrum = BoxSpectrum(measure, n_max)
 
     header = ["n", "N", "frobenius_error", "gamma_residual", "lambda_n",
               "rate_bound", "smallest_kept_sv", "status"]
     rows: list[list] = []
     errors: list[float] = []
-    memo: dict = {}  # the sweep's leading tables share exact blocks: certify each once
     for n in n_sweep:
         k = jet_dimension(f.d, n)
-        leading = [row[:k] for row in exact_rows[:k]]
-        D_mu = np.array(leading, dtype=np.float64)  # float() of each entry, as exact=False gives
+        D_mu = np.array([row[:k] for row in spectrum.table[:k]], dtype=np.float64)  # as exact=False
         try:  # the certified mpf, which the CSV prints also below float64's range
-            lam, lam_error = smallest_eigenvalue(leading, 256, memo=memo, basis=basis).Lambda, None
+            lam, lam_error = spectrum.smallest(n).Lambda, None
         except JetflowError as exc:
             lam, lam_error = None, exc  # every row of this n carries it
         for N in N_sweep:
@@ -380,7 +377,8 @@ def _run_pushforward_convergence(cfg: dict) -> Table:
                 est = fold.estimate(n)
                 err = float(np.linalg.norm(oracle.C - est.C_hat))
                 gam = gamma_check(D_mu, D_hat[:k, :k])
-                rate = theorem_rate(m, n, R_mu, lam, 1 - gam) if gam < 1 and float(lam) else None
+                rate = (theorem_rate(m, n, R_mu, lam, 1 - gam)
+                        if gam < 1 and float(lam) >= sys.float_info.min else None)
                 rows.append([n, N, err, gam, lam, rate, est.smallest_kept_sv, "ok"])
                 errors.append(err)
             except JetflowError as exc:
@@ -442,13 +440,7 @@ def _run_hankel_rates(cfg: dict) -> Table:
     rows: list[list] = []
     gap = None
     for spec in hankel_spectrum_sweep(a, r, cfg["n_max"], bits):
-        lam = float(spec.Lambda)
-        if lam > 0:
-            rate = -math.log(lam) / (2 * spec.n + 2)
-        else:  # the table is positive definite, so its certified mpf is below float64's range
-            import mpmath
-
-            rate = float(-mpmath.log(spec.Lambda) / (2 * spec.n + 2))
+        rate = _decay_rate(spec)
         gap = rate - target
         rows.append([spec.n, spec.Lambda, rate, target, gap, "ok"])
     summary = {"final_gap": gap, "log_sigma": target, "precision_bits": bits}

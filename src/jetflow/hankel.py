@@ -3,21 +3,19 @@
 Moments of product measures are assembled exactly (rational arithmetic on
 request).  A smallest eigenvalue is the minimum over the diagonal blocks that
 the exact zero pattern of the matrix splits it into (the parity classes of a
-measure symmetric about its centre).  Each block's value is a hint at a
-requested mantissa width b, certified to relative width 2**(-b // 4) by two
-Sylvester inertia counts in exact rational arithmetic, which stay exact far
-below the double-precision underflow of the spectrum.  A box table is hinted
-by its box's orthonormal basis (box_basis: tensor Legendre coefficients,
-exact): the basis's Rayleigh quotient 1/||B v||^2 at B's top right singular
-vector v, a well-conditioned largest singular value.  Every box table in the
-package takes that hint; a matrix given without a basis is hinted by
-mpmath.eigsy, the general path.  The proof is the same for both.
+measure symmetric about its centre), each certified at a requested mantissa
+width b to relative width 2**(-b // 4) by Sylvester inertia counts in exact
+rational arithmetic, which stay exact far below the double-precision
+underflow of the spectrum: one count per block for a box's own table
+(BoxSpectrum, whose basis gives the upper end), two for any other symmetric
+matrix (smallest_eigenvalue, the general path).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,12 +247,13 @@ _FLOAT64_QUOTIENT_BITS = 80
 
 def _basis_hint(rows: list[list[Fraction]], Q: list[list[Fraction]], W: list[Fraction],
                 precision_bits: int):
-    """Smallest eigenvalue of rows = B^-1 B^-T, B = diag(W)^(1/2) Q, as 1/||B||_2^2: an mpf hint.
+    """Smallest eigenvalue of rows = B^-1 B^-T, B = diag(W)^(1/2) Q, as 1/||B||_2^2: an mpf.
 
     The value is the exact quotient ||v||^2 / ||B v||^2 at v, the float64 top
-    right singular vector of B, rounded to precision_bits; its error is
-    quadratic in v's.  Where the certificate asks for more than that reaches,
-    inverse iteration on rows, shifted by the hint, refines v in mpf.
+    right singular vector of B, rounded to precision_bits: an upper bound on
+    the smallest eigenvalue at any v, with an error quadratic in v's.  Where
+    the certificate asks for more than that reaches, inverse iteration on rows,
+    shifted by the value, refines v in mpf.
     """
     import mpmath
 
@@ -282,39 +281,39 @@ def _basis_hint(rows: list[list[Fraction]], Q: list[list[Fraction]], W: list[Fra
         return _mpf(lam)
 
 
-def _certified_smallest(rows: list[list[Fraction]], precision_bits: int, *basis):
-    """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue.
+def _proved(rows: list[list[Fraction]], lam, precision_bits: int, upper: bool):
+    """lam, once exact counts find no eigenvalue of rows below t_lo and (if upper) one below t_hi.
 
-    The hint is, given the block's basis table Q, W, its _basis_hint, or else
-    the block's mpmath.eigsy value; the proof is the same for both.
+    t_lo < lam < t_hi are dyadic, at relative distance 2^-(precision_bits // 4 + 1) from lam.
     """
     import mpmath
 
-    if basis:
-        lam = _basis_hint(rows, *basis, precision_bits)
-    else:
-        with mpmath.workprec(precision_bits):
-            M = mpmath.matrix([[_mpf(x) for x in row] for row in rows])
-            lam = min(mpmath.eigsy(M, eigvals_only=True))
     quarter = precision_bits // 4
     with mpmath.workprec(quarter + 8):  # short dyadic endpoints keep Fraction growth small
         w = mpmath.ldexp(abs(lam), -(quarter + 1))
         t_lo, t_hi = _dyadic(lam - w), _dyadic(lam + w)
-    try:
-        if _inertia(rows, t_lo)[0] != 0 or _inertia(rows, t_hi)[0] < 1:
-            raise PrecisionError(
-                f"eigenvalue hint {mpmath.nstr(lam, 8)} is not certified within relative width "
-                f"2^-{quarter} at {precision_bits} bits; retry with more bits"
-            )
-    except PrecisionError:
-        if not _singular_psd(rows):
-            raise
-        lam = mpmath.mpf(0)
+    if _inertia(rows, t_lo)[0] != 0 or upper and _inertia(rows, t_hi)[0] < 1:
+        raise PrecisionError(f"eigenvalue hint {mpmath.nstr(lam, 8)} is not certified within relative "
+                             f"width 2^-{quarter} at {precision_bits} bits; retry with more bits")
     return lam
 
 
-def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = None,
-                        basis: Optional[tuple] = None) -> HankelSpectrum:
+def _certified_smallest(rows: list[list[Fraction]], precision_bits: int):
+    """Certified smallest eigenvalue (an mpf) of one exact symmetric block; see smallest_eigenvalue."""
+    import mpmath
+
+    with mpmath.workprec(precision_bits):
+        M = mpmath.matrix([[_mpf(x) for x in row] for row in rows])
+        lam = min(mpmath.eigsy(M, eigvals_only=True))
+    try:
+        return _proved(rows, lam, precision_bits, upper=True)
+    except PrecisionError:
+        if not _singular_psd(rows):
+            raise
+        return mpmath.mpf(0)
+
+
+def smallest_eigenvalue(D, precision_bits: int = 256) -> HankelSpectrum:
     """Certified smallest eigenvalue of a real symmetric matrix of size n + 1.
 
     D is nested lists or any ndarray (an object array of Fractions, say), read
@@ -324,31 +323,15 @@ def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = 
     of the exact nonzero pattern: up to a permutation D is block-diagonal over
     them (2**d parity blocks for a box centred at 0, one block for a dense
     matrix), so its smallest eigenvalue is the minimum over the blocks.  Each
-    block's value is a hint at `precision_bits`, and two exact inertia counts
-    of the block at dyadic points t_lo < value < t_hi prove that no eigenvalue
-    lies below t_lo and at least one lies below t_hi, with relative width
-    (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  A relative width
-    cannot bracket an exact 0, so when either count fails a third exact count
-    at t = 0 certifies a singular positive semidefinite block, whose value is
-    0.  Otherwise PrecisionError asks for more bits; every block is certified,
-    and nothing uncertified is returned.
-
-    The hint is the basis's exact Rayleigh quotient (see _basis_hint) when
-    `basis` is given, and the block's smallest eigenvalue from mpmath.eigsy
-    otherwise: the general path, for any symmetric matrix.  `basis` is
-    box_basis(measure, k) for the box whose moments D holds, at any k whose
-    table has at least D's rows (its leading block serves); every box table in
-    the package is certified this way.  A basis of another measure gives a
-    hint the counts reject, so it costs a PrecisionError, never a wrong value.
-
-    `memo`, when given, maps (precision_bits, whether a basis gave the hint,
-    a block's exact entries) to its certified value: a block already in it is
-    not certified again, and each newly certified block is added.  A sweep over
-    n passes one memo to all its calls, because the leading blocks of one table
-    repeat whole exact blocks from one n to the next (on a box centred at 0,
-    growing n grows only some parity blocks).  The key holds every entry, so
-    equal keys mean equal blocks, and the value is the one a call without the
-    memo returns.
+    block's value is mpmath.eigsy's at `precision_bits`, and two exact inertia
+    counts of the block at dyadic points t_lo < value < t_hi prove that no
+    eigenvalue lies below t_lo and at least one lies below t_hi, with relative
+    width (t_hi - t_lo)/|value| about 2**(-precision_bits // 4).  A relative
+    width cannot bracket an exact 0, so when either count fails a third exact
+    count at t = 0 certifies a singular positive semidefinite block, whose
+    value is 0.  Otherwise PrecisionError asks for more bits; every block is
+    certified, and nothing uncertified is returned.  This is the general path,
+    for any symmetric matrix; a box's own table is certified by BoxSpectrum.
     """
     if precision_bits < 16:
         raise InputError("precision_bits must be at least 16")
@@ -361,41 +344,62 @@ def smallest_eigenvalue(D, precision_bits: int = 256, *, memo: Optional[dict] = 
         raise InputError("matrix has non-finite entries")
     if any(raw_rows[i][j] != raw_rows[j][i] for i in range(size) for j in range(i)):
         raise InputError("matrix is not symmetric")
-    if basis is not None and min(len(basis[0]), len(basis[1])) < size:
-        raise InputError(f"basis table has fewer than the matrix's {size} rows")
     rows = [[_fraction(x) for x in row] for row in raw_rows]
-    memo = {} if memo is None else memo
-    values = []
-    for block in _blocks(rows):
-        block_rows = [[rows[i][j] for j in block] for i in block]
-        # a block is square, so its entries in row order (as exact integer pairs) fix it
-        key = (precision_bits, basis is not None,
-               tuple((x.numerator, x.denominator) for row in block_rows for x in row))
-        lam = memo.get(key)
-        if lam is None:
-            block_basis = () if basis is None else (
-                [[basis[0][i][j] for j in block] for i in block], [basis[1][i] for i in block])
-            lam = memo[key] = _certified_smallest(block_rows, precision_bits, *block_basis)
-        values.append(lam)
+    values = [_certified_smallest([[rows[i][j] for j in block] for i in block], precision_bits)
+              for block in _blocks(rows)]
     return HankelSpectrum(n=size - 1, Lambda=min(values), precision_bits=precision_bits, certified=True)
+
+
+class BoxSpectrum:
+    """Certified smallest eigenvalues of the leading blocks of one box's exact moment table.
+
+    `table` is moment_matrix(measure, n_max, exact=True); its leading r_n x r_n
+    block, and that of box_basis(measure, n_max) = (Q, W), are the table and
+    the basis at order n.  smallest(n) certifies each exact block b of the
+    leading table (a parity class of the axes the box is centred on) once per
+    object, keyed by its indices, so a sweep over n certifies only the blocks
+    that grow.  Its value, _basis_hint's exact quotient lam, is an upper bound
+    on lambda_min(D_b) because Q_b D_b Q_b^T = diag(W_b)^-1; one exact inertia
+    count at t_lo = lam (1 - 2^-(precision_bits // 4 + 1)) proves the lower end.
+    """
+
+    def __init__(self, measure: MeasureSpec, n_max: int, precision_bits: int = 256):
+        if precision_bits < 16:
+            raise InputError("precision_bits must be at least 16")
+        self.d, self.n_max, self.precision_bits = measure.d, n_max, precision_bits
+        self.table = moment_matrix(measure, n_max, exact=True)
+        self._Q, self._W = box_basis(measure, n_max)
+        self._values: dict[tuple[int, ...], object] = {}  # a block's indices -> its certified mpf
+
+    def smallest(self, n: int) -> HankelSpectrum:
+        """Certified smallest eigenvalue of the leading block at order n, 0 <= n <= n_max."""
+        if n > self.n_max:
+            raise InputError(f"spectrum holds orders 0..{self.n_max}, got n={n}")
+        size = jet_dimension(self.d, n)
+        values = []
+        for block in map(tuple, _blocks([row[:size] for row in self.table[:size]])):
+            if block not in self._values:
+                self._values[block] = self._certified(block)
+            values.append(self._values[block])
+        return HankelSpectrum(n=size - 1, Lambda=min(values), precision_bits=self.precision_bits,
+                              certified=True)
+
+    def _certified(self, block: tuple[int, ...]):
+        """Certified smallest eigenvalue (an mpf) of the table's exact block on the indices block."""
+        rows = [[self.table[i][j] for j in block] for i in block]
+        lam = _basis_hint(rows, [[self._Q[i][j] for j in block] for i in block],
+                          [self._W[i] for i in block], self.precision_bits)
+        return _proved(rows, lam, self.precision_bits, upper=False)
 
 
 def hankel_spectrum_sweep(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[HankelSpectrum]:
     """Certified smallest eigenvalues of the leading blocks, n = 0..n_max, of one interval Hankel table.
 
-    One exact table and one basis at n_max serve every order through their
-    leading blocks, and each block is hinted by the basis.
-    The n calls share one memo, so each distinct exact block is certified
-    once: at a = 0 the n_max + 1 tables hold 2 n_max + 1 parity blocks of
-    which n_max + 1 are distinct, while an off-centre table is one dense
-    block that grows with every n, so nothing repeats.
+    One BoxSpectrum serves every order: at a = 0 it certifies n_max + 1 of the
+    2 n_max + 1 parity blocks, and off centre one dense block per order.
     """
-    mu = MeasureSpec.uniform_box([a], [r], normalized=False)
-    table, basis = moment_matrix(mu, n_max, exact=True), box_basis(mu, n_max)
-    memo: dict = {}
-    return [smallest_eigenvalue([row[:n + 1] for row in table[:n + 1]], precision_bits,
-                                memo=memo, basis=basis)
-            for n in range(n_max + 1)]
+    spectrum = BoxSpectrum(MeasureSpec.uniform_box([a], [r], normalized=False), n_max, precision_bits)
+    return [spectrum.smallest(n) for n in range(n_max + 1)]
 
 
 def sigma(a: float, r: float) -> float:
@@ -423,16 +427,18 @@ def sigma(a: float, r: float) -> float:
     return (1.0 + math.hypot(1.0, u)) / u
 
 
-def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[tuple[int, float]]:
-    """Observed decay rates -log(lambda_n)/(2n+2) for n = 0..n_max."""
+def _decay_rate(spec: HankelSpectrum) -> float:
+    """-log(lambda_n)/(2n + 2): of the float, or, below float64's normal range, of the certified mpf."""
     import mpmath
 
-    rates = []
-    for spec in hankel_spectrum_sweep(a, r, n_max, precision_bits):
-        with mpmath.workprec(precision_bits):
-            rate = -mpmath.log(spec.Lambda) / (2 * spec.n + 2)
-        rates.append((spec.n, float(rate)))
-    return rates
+    if float(spec.Lambda) >= sys.float_info.min:
+        return -math.log(float(spec.Lambda)) / (2 * spec.n + 2)
+    return float(-mpmath.log(spec.Lambda) / (2 * spec.n + 2))
+
+
+def decay_rate_check(a: float, r: float, n_max: int, precision_bits: int = 256) -> list[tuple[int, float]]:
+    """Observed decay rates -log(lambda_n)/(2n+2) for n = 0..n_max."""
+    return [(spec.n, _decay_rate(spec)) for spec in hankel_spectrum_sweep(a, r, n_max, precision_bits)]
 
 
 def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
@@ -445,20 +451,21 @@ def rectangle_lower_bound(p: Sequence[float], radii: Sequence[float], n: int,
         prod = mpmath.mpf(1)
         for c, r in zip(center, radii):
             mu = MeasureSpec.uniform_box([c], [r], normalized=False)
-            prod *= smallest_eigenvalue(moment_matrix(mu, n, exact=True), precision_bits,
-                                        basis=box_basis(mu, n)).Lambda
+            prod *= BoxSpectrum(mu, n, precision_bits).smallest(n).Lambda
         return float(prod)
 
 
 def sample_complexity(n: int, d: int, Lambda_n: float, L_mu: float, delta: float) -> int:
-    """Sample count sufficient for the half-spectrum moment concentration event."""
+    """Sample count sufficient for the half-spectrum moment concentration event (exact: any Lambda_n > 0)."""
+    import mpmath
+
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
-    lam = float(Lambda_n)
-    if lam <= 0:
-        raise InputError(f"Lambda_n must be positive, got {Lambda_n}")
-    if L_mu < 1:
+    if not 0 < Lambda_n < math.inf:
+        raise InputError(f"Lambda_n must be positive and finite, got {Lambda_n}")
+    if not L_mu >= 1:
         raise InputError(f"L_mu must be at least 1, got {L_mu}")
-    r_n = jet_dimension(d, n)
-    value = (float(L_mu) ** (4 * n)) * (r_n ** 2) / (lam * lam) * 4.0 * math.log(2.0 / delta)
+    lam = _dyadic(Lambda_n) if isinstance(Lambda_n, mpmath.mpf) else _fraction(Lambda_n)
+    value = (Fraction(float(L_mu)) ** (4 * n) * jet_dimension(d, n) ** 2 / (lam * lam)
+             * 4 * Fraction(math.log(2.0 / delta)))
     return math.ceil(value)

@@ -15,6 +15,7 @@ by the source kernel e^{-|p|^2/2} e^{<z, p>}, read off in powers of z - p.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -264,6 +265,6 @@ def theorem_rate(m: int, n: int, R_mu: float, Lambda_n: float, gamma: float) -> 
     """Error-rate expression sqrt(m!/gamma) R_mu^n / sqrt(Lambda_n)."""
     if not 0 < gamma <= 1:
         raise InputError(f"gamma must be in (0, 1], got {gamma}")
-    if not float(Lambda_n) > 0:  # below float64's range or NaN too
-        raise InputError(f"Lambda_n must be positive, got {Lambda_n}")
+    if not float(Lambda_n) >= sys.float_info.min:  # 0, NaN or below float64's normal range
+        raise InputError(f"Lambda_n must be positive and in float64's normal range, got {Lambda_n}")
     return math.sqrt(math.factorial(m) / gamma) * R_mu ** n / math.sqrt(float(Lambda_n))

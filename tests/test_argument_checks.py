@@ -72,6 +72,8 @@ ARGUMENT_CHECKS = {
     # a certified Lambda_n below float64's range, whose float is 0
     "pushforward-rate-lambda-underflow": _call(theorem_rate, 3, 12, 0.5, mpmath.mpf("1e-400"), 0.5),
     "pushforward-rate-lambda-nan": _call(theorem_rate, 1, 1, 0.5, float("nan"), 0.5),
+    # a subnormal float64 has lost bits: it is treated as 0
+    "pushforward-rate-lambda-subnormal": _call(theorem_rate, 1, 1, 0.5, 1e-310, 0.5),
     "jets-coefficients": _call(Jet, graded_numbering(1, 2), [1.0]),
     "jets-variable": _call(variable_jet, graded_numbering(1, 2), 2),
     "jets-tables": _call(jet_add, _variable(2), _variable(3)),

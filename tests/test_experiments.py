@@ -122,23 +122,28 @@ def test_sweep_draws_once_per_N(tmp_path, monkeypatch):
 
 
 def test_convergence_sweep_certifies_each_distinct_block_once(tmp_path, monkeypatch):
-    # n = 3..8 on a box centred at 0: 12 parity-block certificates, of which 7 are
-    # distinct; a second run certifies all 7 again, so no certificate outlives its sweep
-    sizes = []
-    certify = hankel._certified_smallest
+    # n = 3..8 on a box centred at 0: 12 parity blocks, of which 7 are distinct, each
+    # proved by one exact inertia count; a second run certifies all 7 again, so no
+    # certificate outlives its sweep
+    sizes, counts = [], []
+    certify, inertia = hankel.BoxSpectrum._certified, hankel._inertia
 
-    def counted(rows, precision_bits, *basis):
-        assert basis  # the runner's hints come from the box's basis table
-        sizes.append(len(rows))
-        return certify(rows, precision_bits, *basis)
+    def counted(spectrum, block):
+        sizes.append(len(block))
+        return certify(spectrum, block)
 
-    monkeypatch.setattr(hankel, "_certified_smallest", counted)
+    def counted_inertia(rows, t, split_zeros=False):
+        counts.append(len(rows))
+        return inertia(rows, t, split_zeros)
+
+    monkeypatch.setattr(hankel.BoxSpectrum, "_certified", counted)
+    monkeypatch.setattr(hankel, "_inertia", counted_inertia)
     cfg = {**demo_config("pushforward-convergence"), "output_dir": str(tmp_path)}
     csv_path = Path(run_experiment(cfg)["csv"])
-    assert sizes == [2, 2, 3, 3, 4, 4, 5]
+    assert sizes == counts == [2, 2, 3, 3, 4, 4, 5]
     text = csv_path.read_text()
     run_experiment(cfg)
-    assert len(sizes) == 14 and csv_path.read_text() == text
+    assert len(sizes) == len(counts) == 14 and csv_path.read_text() == text
 
 
 def test_bad_draw_is_an_error_row(tmp_path):
@@ -153,14 +158,14 @@ def test_bad_draw_is_an_error_row(tmp_path):
 
 def test_an_uncertifiable_order_fails_only_its_rows(tmp_path, monkeypatch):
     # the parity blocks are 2 and 2 at n = 3, 3 and 2 at n = 4, 4 and 4 at n = 7: only n = 4 holds a 3
-    certify = hankel._certified_smallest
+    certify = hankel.BoxSpectrum._certified
 
-    def failing(rows, precision_bits, *basis):
-        if len(rows) == 3:
+    def failing(spectrum, block):
+        if len(block) == 3:
             raise PrecisionError("no certificate at this precision")
-        return certify(rows, precision_bits, *basis)
+        return certify(spectrum, block)
 
-    monkeypatch.setattr(hankel, "_certified_smallest", failing)
+    monkeypatch.setattr(hankel.BoxSpectrum, "_certified", failing)
     rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4, 7], [200, 300])))
     assert [(row["n"], row["status"], row["lambda_n"] == "") for row in rows] == [
         ("3", "ok", False)] * 2 + [("4", "error:PrecisionError", True)] * 2 + [("7", "ok", False)] * 2
@@ -188,6 +193,15 @@ def test_hankel_rates_writes_a_lambda_below_float64s_range(tmp_path):
 
 
 
+def test_hankel_rates_prints_a_subnormal_lambda_in_full(tmp_path):
+    # lambda_5 = 2.93e-322 is a subnormal float64 with 10 bits: its float would print
+    # 2.9149873104633546e-322 and give the rate 61.696877873122958
+    cfg = {"kind": "hankel-rates", "a": 0.0, "r": 1e-29, "n_max": 5, "output_dir": str(tmp_path)}
+    row = _rows(run_experiment(cfg))[-1]
+    assert (row["n"], row["lambda_n"], row["rate"]) == (
+        "5", "2.9318124556219776e-322", "61.696398260563534")
+
+
 def test_hankel_rates_on_a_tiny_interval_writes_a_finite_log_sigma(tmp_path):
     # r * r underflows: log(sigma) is log(2e300) and log(3e200), not inf
     for a, r, log_sigma in ((0.0, 1e-300, 691.4686750787737), (0.5, 1e-200, 461.6156308874773)):
@@ -199,11 +213,12 @@ def test_hankel_rates_on_a_tiny_interval_writes_a_finite_log_sigma(tmp_path):
             assert math.isfinite(float(row["gap"]))
 
 def test_an_underflowing_lambda_leaves_the_rate_bound_empty(tmp_path, monkeypatch):
-    tiny = mpmath.ldexp(1, -1400)
-    monkeypatch.setattr(hankel, "_certified_smallest", lambda rows, bits, *basis: tiny)
-    rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4], [300])))
-    assert [(row["status"], row["lambda_n"], row["rate_bound"]) for row in rows] == [
-        ("ok", mpmath.nstr(tiny, 17), "")] * 2
+    # a float64 0, and a subnormal float64 with 12 of its 53 bits left
+    for tiny in (mpmath.ldexp(1, -1400), mpmath.ldexp(3, -1064) / 7):
+        monkeypatch.setattr(hankel.BoxSpectrum, "_certified", lambda spectrum, block: tiny)
+        rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4], [300])))
+        assert [(row["status"], row["lambda_n"], row["rate_bound"]) for row in rows] == [
+            ("ok", mpmath.nstr(tiny, 17), "")] * 2
     # a float64 lambda keeps %.17g, and the rate bound is written
     monkeypatch.undo()
     rows = _rows(run_experiment(_sweep_config(tmp_path, [3, 4], [300])))

@@ -8,9 +8,9 @@ import pytest
 from jetflow import hankel
 from jetflow.errors import PrecisionError
 from jetflow.hankel import (
+    BoxSpectrum,
     MeasureSpec,
     _blocks,
-    box_basis,
     decay_rate_check,
     hankel_spectrum_sweep,
     lebesgue_hankel,
@@ -279,32 +279,29 @@ def test_float_asymmetry_below_any_tolerance_rejected():
 
 
 def _alone(a, r, n):
-    """The certified lambda_n of the interval's table at order n alone, hinted by its own order's basis."""
-    mu = MeasureSpec.uniform_box([a], [r], normalized=False)
-    return smallest_eigenvalue(lebesgue_hankel(a, r, n), basis=box_basis(mu, n)).Lambda
+    """The certified lambda_n of the interval's table at order n alone, from a spectrum of its own."""
+    return BoxSpectrum(MeasureSpec.uniform_box([a], [r], normalized=False), n).smallest(n).Lambda
 
 
 def test_sweep_equals_each_order_on_its_own():
-    # a non-centred interval: each matrix is one dense block; the sweep hints through the
-    # leading blocks of its basis at n_max, which are each order's own basis
+    # a non-centred interval: each matrix is one dense block; the sweep certifies through the
+    # leading blocks of its table and basis at n_max, which are each order's own
     specs = hankel_spectrum_sweep(0.3, 0.7, 12)
     assert [s.n for s in specs] == list(range(13))
     for n, spec in enumerate(specs):
         assert spec.Lambda == _alone(0.3, 0.7, n)
 
 
-def _count_certificates(monkeypatch, hinted_by_basis: bool = True) -> list[int]:
-    """Sizes of the blocks that hankel._certified_smallest certifies from now on, each given a basis
-    unless hinted_by_basis is False."""
+def _count_certificates(monkeypatch) -> list[int]:
+    """Sizes of the box blocks that a BoxSpectrum certifies from now on."""
     sizes = []
-    certify = hankel._certified_smallest
+    certify = hankel.BoxSpectrum._certified
 
-    def counted(rows, precision_bits, *basis):
-        assert bool(basis) == hinted_by_basis
-        sizes.append(len(rows))
-        return certify(rows, precision_bits, *basis)
+    def counted(spectrum, block):
+        sizes.append(len(block))
+        return certify(spectrum, block)
 
-    monkeypatch.setattr(hankel, "_certified_smallest", counted)
+    monkeypatch.setattr(hankel.BoxSpectrum, "_certified", counted)
     return sizes
 
 
@@ -321,25 +318,10 @@ def test_centred_sweep_certifies_each_distinct_block_once(monkeypatch):
 
 
 def test_off_centre_sweep_repeats_no_block(monkeypatch):
-    # a dense table grows its one block with every n: one certificate per n, as without a memo
+    # a dense table grows its one block with every n: one certificate per n
     sizes = _count_certificates(monkeypatch)
     hankel_spectrum_sweep(0.3, 0.7, 8)
     assert sizes == list(range(1, 10))
-
-
-def test_shared_memo_gives_each_matrix_its_own_value(monkeypatch):
-    # same size and zero pattern, different entries; the memo must tell them apart,
-    # and the same matrix at another precision too
-    A, B = lebesgue_hankel(0.0, 1.0, 4), lebesgue_hankel(0.0, 0.5, 4)
-    alone = [smallest_eigenvalue(A).Lambda, smallest_eigenvalue(B).Lambda,
-             smallest_eigenvalue(A, 64).Lambda]
-    sizes = _count_certificates(monkeypatch, hinted_by_basis=False)
-    memo = {}
-    shared = [smallest_eigenvalue(A, memo=memo).Lambda, smallest_eigenvalue(B, memo=memo).Lambda,
-              smallest_eigenvalue(A, 64, memo=memo).Lambda]
-    assert shared == alone and len(set(alone)) == 3
-    assert len(sizes) == len(memo) == 6
-    assert smallest_eigenvalue(B, memo=memo).Lambda == alone[1] and len(sizes) == 6
 
 
 def test_interlacing_sweep():
@@ -420,6 +402,16 @@ def test_rectangle_bound_mass_case():
 
 def test_sample_complexity_example():
     assert sample_complexity(1, 1, 1 / 3, 1.0, 0.1) == 432
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-200, mpmath.mpf("9.18e-728")],
+                         ids=["float-squares-overflow", "float-squares-underflow", "certified-mpf"])
+def test_sample_complexity_takes_a_tiny_lambda(lam):
+    # 16 log(20) / lambda^2 for n = d = 1, L_mu = 1, delta = 0.1: about 4.8e321, 4.8e401 and 5.7e1456
+    count = sample_complexity(1, 1, lam, 1.0, 0.1)
+    with mpmath.workprec(200):
+        ref = 16 * mpmath.log(20) / mpmath.mpf(lam) ** 2
+        assert isinstance(count, int) and abs(count - ref) <= ref * mpmath.mpf("1e-15")
 
 
 def test_sample_complexity_monotone_in_delta():

@@ -10,7 +10,9 @@ import pytest
 from jetflow.errors import InputError, JetflowError, PrecisionError
 from jetflow.experiments import demo_config, run_experiment
 from jetflow.hankel import (
+    BoxSpectrum,
     MeasureSpec,
+    _blocks,
     _body_args,
     box_basis,
     decay_rate_check,
@@ -22,6 +24,7 @@ from jetflow.hankel import (
     sigma,
     smallest_eigenvalue,
 )
+from jetflow.multiindex import jet_dimension
 
 CENTRED = (0.0, 0.0, 0.0)
 OFF_CENTRE = (0.1, 0.2, 0.3)
@@ -45,6 +48,22 @@ def test_basis_orthonormalises_the_exact_moment_table(d, n_max, center, normaliz
         assert QDQt == [[1 / W[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
 
 
+@pytest.mark.parametrize("normalized", [True, False], ids=["mass-1", "weight-1"])
+@pytest.mark.parametrize("center", [CENTRED, OFF_CENTRE, (0.0, 0.2, 0.0)],
+                         ids=["centred", "off-centre", "mixed"])
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 4), (3, 2)])
+def test_basis_orthonormalises_every_block_of_every_leading_table(d, n_max, center, normalized):
+    # BoxSpectrum's upper end: Q_b D_b Q_b^T = diag(W_b)^-1 on each exact block b of each leading table
+    mu = MeasureSpec.uniform_box(center[:d], RADII[:d], normalized=normalized)
+    D, (Q, W) = moment_matrix(mu, n_max, exact=True), box_basis(mu, n_max)
+    for size in (jet_dimension(d, n) for n in range(n_max + 1)):
+        for b in _blocks([row[:size] for row in D[:size]]):
+            Q_b = [[Q[i][j] for j in b] for i in b]
+            QD = [[sum(q * D[k][j] for q, k in zip(row, b)) for j in b] for row in Q_b]
+            QDQt = [[sum(x * q for x, q in zip(row, Q_row)) for Q_row in Q_b] for row in QD]
+            assert QDQt == [[1 / W[i] if i == j else 0 for j in b] for i in b]
+
+
 def test_basis_weights_are_the_legendre_norms():
     # p_k = sqrt(2k + 1) P_k is orthonormal for the uniform probability on [-1, 1]
     _, W = box_basis(MeasureSpec.uniform_box([0.0, 0.0], [1.0, 1.0]), 2)
@@ -64,7 +83,7 @@ def test_leading_block_is_the_table_at_lower_order():
 
 def _eigsy_and_basis(mu, n, bits):
     D = moment_matrix(mu, n, exact=True)
-    return smallest_eigenvalue(D, bits), smallest_eigenvalue(D, bits, basis=box_basis(mu, n))
+    return smallest_eigenvalue(D, bits), BoxSpectrum(mu, n, bits).smallest(n)
 
 
 @pytest.mark.parametrize("center, radii, orders", [
@@ -82,17 +101,21 @@ def test_basis_hint_gives_the_eigsy_value(center, radii, orders):
             assert abs(spec.Lambda - ref.Lambda) <= mpmath.mpf("1e-28") * ref.Lambda
 
 
-@pytest.mark.parametrize("wrong", ["another-radius", "W-doubled"])
-def test_wrong_basis_is_not_certified(wrong):
-    mu = MeasureSpec.uniform_box([0.0], [0.5])
-    D = moment_matrix(mu, 6, exact=True)
-    if wrong == "another-radius":
-        basis = box_basis(MeasureSpec.uniform_box([0.0], [0.6]), 6)
-    else:
-        Q, W = box_basis(mu, 6)
-        basis = (Q, [2 * w for w in W])
-    with pytest.raises(PrecisionError, match="retry with more bits"):
-        smallest_eigenvalue(D, 256, basis=basis)
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("center", [0.0, 0.1], ids=["centred", "off-centre"])
+def test_a_poor_hint_vector_is_not_certified(monkeypatch, center, bits):
+    # the bottom singular vector in place of the top one: the quotient is the largest eigenvalue
+    svd = np.linalg.svd
+
+    def reversed_svd(B):
+        U, s, Vt = svd(B)
+        return U, s, Vt[::-1]
+
+    monkeypatch.setattr(np.linalg, "svd", reversed_svd)
+    spectrum = BoxSpectrum(MeasureSpec.uniform_box([center], [0.5]), 6, bits)
+    for n in (2, 6):  # each order's first block has two rows or more
+        with pytest.raises(PrecisionError, match="retry with more bits"):
+            spectrum.smallest(n)
 
 
 @pytest.mark.parametrize("bits", [64, 512, 1024])
@@ -111,9 +134,8 @@ def test_basis_value_lies_in_the_eigsy_bracket(center, radii, n, bits):
 
 def test_basis_certifies_a_box_whose_coefficients_overflow_float64():
     # Q's entries reach 1e360 at radius 1e-30, n = 12; lambda is about 9.2e-728
-    mu = MeasureSpec.uniform_box([0.0], [1e-30])
-    D = moment_matrix(mu, 12, exact=True)
-    spec = smallest_eigenvalue(D, 256, basis=box_basis(mu, 12))
+    spectrum = BoxSpectrum(MeasureSpec.uniform_box([0.0], [1e-30]), 12)
+    D, spec = spectrum.table, spectrum.smallest(12)
     assert spec.certified
     with mpmath.workprec(256):
         assert 0 < spec.Lambda < min(mpmath.mpf(D[i][i].numerator) / D[i][i].denominator
@@ -125,10 +147,9 @@ def test_basis_certifies_a_box_whose_coefficients_overflow_float64():
 def test_basis_of_a_weight_1_table_of_small_radius_stays_finite(radius, n):
     # W ~ 1/radius: the float64 B = W^(1/2) Q overflows unless its shift counts W as well as Q
     mu = MeasureSpec.uniform_box([0.0], [radius], normalized=False)
-    D = moment_matrix(mu, n, exact=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = smallest_eigenvalue(D, 256, basis=box_basis(mu, n))
+        spec = BoxSpectrum(mu, n).smallest(n)
     assert spec.certified and spec.Lambda > 0
 
 
@@ -161,21 +182,9 @@ def test_sweep_of_a_narrow_interval_certifies_every_order():
 
 def test_basis_leading_block_serves_a_smaller_matrix():
     mu = MeasureSpec.uniform_box([0.0], [0.5])
-    basis = box_basis(mu, 8)
+    spectrum = BoxSpectrum(mu, 8)
     for n in (0, 3, 8):
-        D = moment_matrix(mu, n, exact=True)
-        assert (smallest_eigenvalue(D, basis=basis).Lambda
-                == smallest_eigenvalue(D, basis=box_basis(mu, n)).Lambda)
-
-
-def test_memo_keeps_the_hint_sources_apart():
-    mu = MeasureSpec.uniform_box([0.1], [0.5])
-    D, basis = moment_matrix(mu, 6, exact=True), box_basis(mu, 6)
-    alone = [smallest_eigenvalue(D).Lambda, smallest_eigenvalue(D, basis=basis).Lambda]
-    memo = {}
-    shared = [smallest_eigenvalue(D, memo=memo).Lambda,
-              smallest_eigenvalue(D, memo=memo, basis=basis).Lambda]
-    assert shared == alone and len(memo) == 2
+        assert spectrum.smallest(n).Lambda == BoxSpectrum(mu, n).smallest(n).Lambda
 
 
 def _call(fn, *args, **kwargs):
@@ -196,10 +205,12 @@ ARGUMENT_CHECKS = {
     "sigma-radius": _call(sigma, 0.0, 0.0),
     "delta": _call(sample_complexity, 1, 1, 0.5, 1.0, 1.5),
     "lambda": _call(sample_complexity, 1, 1, 0.0, 1.0, 0.1),
+    "lambda-nan": _call(sample_complexity, 1, 1, float("nan"), 1.0, 0.1),
     "L-mu": _call(sample_complexity, 1, 1, 0.5, 0.5, 0.1),
     "basis-kind": _call(box_basis, MeasureSpec.empirical(np.zeros((2, 1))), 1),
-    "basis-size": _call(smallest_eigenvalue, lebesgue_hankel(0.0, 1.0, 3),
-                        basis=box_basis(MeasureSpec.uniform_box([0.0], [1.0]), 2)),
+    "spectrum-kind": _call(BoxSpectrum, MeasureSpec.empirical(np.zeros((2, 1))), 1),
+    "spectrum-precision-bits": _call(BoxSpectrum, MeasureSpec.uniform_box([0.0], [1.0]), 2, 8),
+    "spectrum-order": _call(BoxSpectrum(MeasureSpec.uniform_box([0.0], [1.0]), 2).smallest, 3),
 }
 
 
